@@ -4,8 +4,8 @@ order termination checking, and cross-engine property suites."""
 
 from .syntax import (
     And, Atom, Bot, FMultiset, Formula, Imp, Modal, Or, ParseError, Sequent,
-    degree, interpret, mset_count, mset_remove, mset_union, neg, parse_formula,
-    parse_sequent, print_formula, print_sequent,
+    degree, interpret, neg, parse_formula, parse_sequent, print_formula,
+    print_sequent,
 )
 from .calculus import (
     AVar, BoxedCtx, Calculus, CtxVar, DslValidationError, FVar, InvalidRulesError,
@@ -16,8 +16,7 @@ from .calculus import (
 from .dsl import parse_rules, print_rule, print_rules
 from .orders import (
     DYCKHOFF, SamplingConfig, TerminationVerdict, WeightFunction,
-    check_instance_decrease, check_schema_termination, multiset_less,
-    sequent_less, weight_dyckhoff,
+    check_schema_termination, multiset_less, sequent_less,
 )
 from .prover import (
     Derivation, ProofResult, SearchBudget, TerminationViolation, check_derivation,

@@ -82,10 +82,6 @@ class WeightFunction:
 DYCKHOFF = WeightFunction("dyckhoff", and_inc=2, or_inc=1, imp_inc=1, box_inc=1)
 
 
-def weight_dyckhoff(f: Formula) -> int:
-    return DYCKHOFF.weight(f)
-
-
 def multiset_less(w: WeightFunction, delta: FMultiset, gamma: FMultiset) -> bool:
     """True iff delta is gamma with one or more formulas replaced by zero or
     more formulas of strictly lower weight.  Decided from the multiplicities
@@ -108,12 +104,13 @@ def _sequent_multiset(s: Sequent) -> FMultiset:
 
 
 def sequent_less(w: WeightFunction, s0: Sequent, s1: Sequent) -> bool:
-    """Order on sequents: compare antecedent-plus-succedent multisets."""
+    """Order on sequents: compare antecedent-plus-succedent multisets.  A
+    succedent both sequents share (the same formula, or both empty) adds the
+    same to both sides, which changes neither multiset difference, so then the
+    antecedents are compared without merging."""
+    if s0.succedent is s1.succedent:
+        return multiset_less(w, s0.antecedent, s1.antecedent)
     return multiset_less(w, _sequent_multiset(s0), _sequent_multiset(s1))
-
-
-def check_instance_decrease(w: WeightFunction, premises, conclusion: Sequent) -> bool:
-    return all(sequent_less(w, p, conclusion) for p in premises)
 
 
 # --- schema-level termination ------------------------------------------------

@@ -5,12 +5,20 @@ indexed family of box operators ``[0]``, ``[1]``, ...  Negation is not a
 constructor: ``~phi`` is read and printed as ``phi -> false``.  Every value in
 this module is immutable, so formulas, multisets and sequents can be shared
 freely between concurrent searches.
+
+Formulas are hash-consed: every constructor call goes through one intern
+table keyed by the class and the fields, so equal formulas are one object and
+formula equality is identity.  A node stores its hash, computed once from its
+key (whose children already hold theirs), and caches its :func:`sort_key` on
+first use; hashing and comparing cost O(1) at any depth.  The table lives for
+the whole process, as did the unbounded ``sort_key`` cache it replaces, and as
+does the weight cache of a ``WeightFunction``: those already kept every
+formula that was put in a multiset or weighed alive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class ParseError(Exception):
@@ -22,66 +30,125 @@ class ParseError(Exception):
         self.position = position
 
 
-@dataclass(frozen=True)
+# (class, *fields) -> the one node with that structure
+_TABLE: dict = {}
+
+
+def _intern(key: tuple):
+    """Build the node for ``key`` and enter it in the table, unless another
+    caller entered one first; either way return the table's node."""
+    cls = key[0]
+    node = object.__new__(cls)
+    for name, value in zip(cls._fields, key[1:]):
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_hash", hash(key))
+    object.__setattr__(node, "_sort_key", None)
+    return _TABLE.setdefault(key, node)
+
+
 class Formula:
+    """Base of the formula nodes.  Build nodes only through the subclass
+    constructors, which return the interned node for their arguments."""
+
+    __slots__ = ("_hash", "_sort_key")
+    _fields: tuple = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
 class Bot(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        key = (cls,)
+        node = _TABLE.get(key)
+        return node if node is not None else _intern(key)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+    _fields = ("name",)
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        node = _TABLE.get(key)
+        return node if node is not None else _intern(key)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        key = (cls, left, right)
+        node = _TABLE.get(key)
+        return node if node is not None else _intern(key)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Imp(_Binary):
+    __slots__ = ()
+
+
 class Modal(Formula):
-    index: int
-    body: Formula
+    __slots__ = ("index", "body")
+    _fields = ("index", "body")
+
+    def __new__(cls, index: int, body: Formula):
+        key = (cls, index, body)
+        node = _TABLE.get(key)
+        return node if node is not None else _intern(key)
 
 
 def neg(f: Formula) -> Formula:
     return Imp(f, Bot())
 
 
-@lru_cache(maxsize=None)
 def sort_key(f: Formula):
     """Total structural order on formulas; fixes all iteration orders."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    key = f._sort_key
+    if key is not None:
+        return key
     if isinstance(f, Bot):
-        return (0,)
-    if isinstance(f, Atom):
-        return (1, f.name)
-    if isinstance(f, And):
-        return (2, sort_key(f.left), sort_key(f.right))
-    if isinstance(f, Or):
-        return (3, sort_key(f.left), sort_key(f.right))
-    if isinstance(f, Imp):
-        return (4, sort_key(f.left), sort_key(f.right))
-    if isinstance(f, Modal):
-        return (5, f.index, sort_key(f.body))
-    raise TypeError(f"not a formula: {f!r}")
+        key = (0,)
+    elif isinstance(f, Atom):
+        key = (1, f.name)
+    elif isinstance(f, And):
+        key = (2, sort_key(f.left), sort_key(f.right))
+    elif isinstance(f, Or):
+        key = (3, sort_key(f.left), sort_key(f.right))
+    elif isinstance(f, Imp):
+        key = (4, sort_key(f.left), sort_key(f.right))
+    else:
+        key = (5, f.index, sort_key(f.body))
+    object.__setattr__(f, "_sort_key", key)
+    return key
 
 
 def degree(f: Formula) -> int:
@@ -205,18 +272,6 @@ def _from_counts(counts: dict) -> FMultiset:
 
 
 EMPTY = FMultiset()
-
-
-def mset_union(a: FMultiset, b: FMultiset) -> FMultiset:
-    return a.union(b)
-
-
-def mset_remove(a: FMultiset, f: Formula, k: int = 1) -> FMultiset:
-    return a.remove(f, k)
-
-
-def mset_count(a: FMultiset, f: Formula) -> int:
-    return a.count(f)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import seqprove
 from seqprove.cli import main
 
 
@@ -54,6 +58,22 @@ def test_prove_emit_json(capsys):
     assert payload["verdict"] == "provable"
     assert payload["derivation"]["rule"] == "RImp"
     assert list(payload["derivation"].keys()) == ["sequent", "rule", "children"]
+
+
+def test_prove_output_does_not_depend_on_hash_seed():
+    # formula hashes mix class identity and string hashes, which differ from
+    # process to process; nothing printed may follow hash order
+    argv = [sys.executable, "-m", "seqprove", "prove", "--calculus", "G4i+R_K", "--sequent",
+            "[](p -> q), [](q -> r), []p, (s | []t) -> u => []r & (s -> u)", "--emit", "json"]
+    src = os.path.dirname(os.path.dirname(seqprove.__file__))
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs.append(subprocess.run(argv, env=env, capture_output=True, timeout=120))
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["verdict"] == "provable"
 
 
 def test_prove_refuses_nonterminating_g4(capsys):

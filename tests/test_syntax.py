@@ -1,11 +1,14 @@
+import copy
+import pickle
 import random
 
 import pytest
 
+from seqprove.calculus import FVar
 from seqprove.syntax import (
     And, Atom, Bot, FMultiset, Imp, Modal, Or, ParseError, Sequent, degree,
-    interpret, mset_count, mset_remove, mset_union, parse_formula, parse_sequent,
-    print_formula, print_sequent, sort_key, subformulas,
+    interpret, parse_formula, parse_sequent, print_formula, print_sequent,
+    sort_key, subformulas,
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -127,14 +130,14 @@ def test_interpret_contains_all_formulas():
 
 def test_multiset_ops():
     a = FMultiset([p])
-    assert mset_union(a, a).count(p) == 2
+    assert a.union(a).count(p) == 2
     b = FMultiset([p, p, q])
-    assert mset_remove(b, p, 1) == FMultiset([p, q])
-    assert mset_count(FMultiset(), p) == 0
+    assert b.remove(p, 1) == FMultiset([p, q])
+    assert FMultiset().count(p) == 0
     with pytest.raises(ValueError):
-        mset_remove(a, p, 2)
+        a.remove(p, 2)
     with pytest.raises(ValueError):
-        mset_remove(a, q)
+        a.remove(q)
 
 
 def test_multiset_union_commutative_associative():
@@ -162,3 +165,64 @@ def test_sort_key_total_order():
         assert sort_key(a) <= sort_key(b)
     for f in fs:
         assert (sort_key(f) == sort_key(fs[0])) == (f == fs[0])
+
+
+# --- hash-consing -------------------------------------------------------------
+
+def test_equal_formulas_are_one_object():
+    assert Atom("p") is Atom("p")
+    assert Bot() is Bot()
+    assert Modal(1, And(p, q)) is Modal(1, And(Atom("p"), Atom("q")))
+    assert Imp(p, q) is not Imp(q, p)
+    assert And(p, q) is not Or(p, q)
+    rng = random.Random(17)
+    for _ in range(200):
+        text = print_formula(_random_formula(rng, rng.randint(1, 12)))
+        assert parse_formula(text) is parse_formula(text)
+
+
+def test_templates_are_interned():
+    phi, psi = FVar("phi"), FVar("psi")
+    assert And(phi, psi) is And(FVar("phi"), FVar("psi"))
+    assert Imp(Modal(0, phi), psi) is Imp(Modal(0, FVar("phi")), FVar("psi"))
+    assert And(phi, psi) is not And(psi, phi)
+
+
+def test_copy_and_pickle_return_the_canonical_node():
+    f = parse_formula("[1](p -> q) & ~(r | false)")
+    template = Imp(Modal(0, FVar("phi")), FVar("psi"))
+    for g in (f, p, Bot(), template):
+        assert copy.copy(g) is g
+        assert copy.deepcopy(g) is g
+        assert pickle.loads(pickle.dumps(g)) is g
+
+
+def test_formula_fields_are_immutable():
+    f = And(p, q)
+    with pytest.raises(AttributeError):
+        f.left = r
+    with pytest.raises(AttributeError):
+        p.name = "q"
+    with pytest.raises(AttributeError):
+        Modal(0, p).index = 1
+    with pytest.raises(AttributeError):
+        del f.right
+    assert f.left is p and p.name == "p"
+
+
+def test_repr_is_the_dataclass_text():
+    assert repr(And(Atom("p"), Bot())) == "And(left=Atom(name='p'), right=Bot())"
+    assert repr(Modal(2, Imp(p, q))) == \
+        "Modal(index=2, body=Imp(left=Atom(name='p'), right=Atom(name='q')))"
+
+
+def test_deep_formula_hash_and_equality_do_not_recurse():
+    f = g = p
+    for _ in range(100_000):
+        f = Imp(f, Bot())
+        g = Imp(g, Bot())
+    assert f is g
+    assert hash(f) == hash(g)
+    assert f == g and not f != g
+    assert f in {f} and f in {g: 1}
+    assert Imp(f, Bot()) != f
