@@ -7,12 +7,18 @@ pattern is a sequent-shaped template: its antecedent items are context
 metavariables (``G``), boxed context metavariables (``box G``) or formula
 templates over formula/atom metavariables, and its succedent is empty, a
 succedent metavariable, or a formula template.
+
+Each schema is compiled when it is built: its conclusion split into templates
+and contexts, its metavariables, and the principal shapes its conclusion
+requires.  ``Calculus.plan`` orders the rules for search and drops, per
+sequent, the rules whose shapes the sequent does not offer.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .syntax import (
     And, Atom, Bot, FMultiset, Formula, Imp, Modal, Or, Sequent, _from_counts,
@@ -90,14 +96,91 @@ class Pattern:
     items: tuple = ()
     succedent: object = None  # None (empty) | SuccVar | formula template
 
+    def is_right_modal(self) -> bool:
+        """The succedent is a boxed formula metavariable."""
+        return isinstance(self.succedent, Modal) and isinstance(self.succedent.body, FVar)
+
+
+def _compiled():
+    return field(init=False, compare=False, repr=False)
+
 
 @dataclass(frozen=True)
 class RuleSchema:
+    """A rule schema.  The fields after ``provenance`` are compiled once, at
+    construction, for matching and dispatch; they take no part in equality,
+    hashing or the repr."""
+
     name: str
     premises: tuple
     conclusion: Pattern
     kind: str
     provenance: str = "builtin"
+    templates: tuple = _compiled()     # formula templates of the antecedent
+    boxed: tuple = _compiled()         # BoxedCtx items of the antecedent
+    plains: tuple = _compiled()        # CtxVar items of the antecedent
+    metavars: dict = _compiled()       # schema_metavars(self)
+    ante_shapes: frozenset = _compiled()  # shapes the antecedent must offer
+    succ_shape: object = _compiled()   # shape the succedent must have, or None
+
+    def __post_init__(self):
+        items, succ = self.conclusion.items, self.conclusion.succedent
+        templates = tuple(it for it in items if is_template(it))
+        compiled = {
+            "templates": templates,
+            "boxed": tuple(it for it in items if isinstance(it, BoxedCtx)),
+            "plains": tuple(it for it in items if isinstance(it, CtxVar)),
+            "metavars": schema_metavars(self),
+            "ante_shapes": frozenset(filter(None, map(_shape, templates))),
+            "succ_shape": (None if succ is None or isinstance(succ, SuccVar)
+                           else _shape(succ)),
+        }
+        for name, value in compiled.items():
+            object.__setattr__(self, name, value)
+
+
+# --- principal shapes -------------------------------------------------------
+#
+# A shape is a formula's principal connective: its class, with the box index
+# for Modal.  A rule can match a sequent only if the sequent offers every
+# shape the rule's conclusion templates require, so search skips the other
+# rules without matching them.
+
+def _shape(f):
+    """The shape of formula or template ``f``: Atom for an atom
+    metavariable, and None (no requirement) for a formula metavariable."""
+    cls = type(f)
+    if cls is Modal:
+        return Modal, f.index
+    if cls is FVar:
+        return None
+    return Atom if cls is AVar else cls
+
+
+# Invertible rules, in the order search commits to them.
+_SAFE_ORDER = ("LAnd", "LOr", "RAnd", "RImp", "LpImp", "LAndImp", "LOrImp")
+
+
+@dataclass(frozen=True, eq=False)
+class SearchPlan:
+    """A calculus's rules in search order: the axioms, the invertible rules in
+    commit order, then the branching rules in calculus order."""
+
+    axioms: tuple
+    safe: tuple
+    branching: tuple
+
+    def at(self, s: Sequent) -> "SearchPlan":
+        """This plan without the rules whose required shapes ``s`` lacks, for
+        which ``match_conclusion`` could only return []."""
+        ante = set(map(_shape, s.antecedent.support()))
+        succ = None if s.succedent is None else _shape(s.succedent)
+
+        def keep(rules):
+            return tuple(r for r in rules if r.ante_shapes <= ante
+                         and (r.succ_shape is None or r.succ_shape == succ))
+
+        return SearchPlan(keep(self.axioms), keep(self.safe), keep(self.branching))
 
 
 @dataclass(frozen=True)
@@ -111,6 +194,15 @@ class Calculus:
             if r.name == name:
                 return r
         return None
+
+    @cached_property
+    def plan(self) -> SearchPlan:
+        """The search plan, built on first use and kept with the calculus."""
+        by_name = {r.name: r for r in self.rules}
+        return SearchPlan(
+            tuple(r for r in self.rules if not r.premises),
+            tuple(by_name[n] for n in _SAFE_ORDER if n in by_name),
+            tuple(r for r in self.rules if r.premises and r.name not in _SAFE_ORDER))
 
 
 def is_template(item) -> bool:
@@ -246,8 +338,7 @@ def builtin_modal_rules() -> dict:
 
 def is_right_modal(rule: RuleSchema) -> bool:
     """A rule whose conclusion succedent is a boxed formula metavariable."""
-    succ = rule.conclusion.succedent
-    return isinstance(succ, Modal) and isinstance(succ.body, FVar)
+    return rule.conclusion.is_right_modal()
 
 
 def is_nonflat(rule: RuleSchema) -> bool:
@@ -255,7 +346,7 @@ def is_nonflat(rule: RuleSchema) -> bool:
     connective or a modal operator under every instantiation."""
     if not rule.premises:
         return False
-    templates = [it for it in rule.conclusion.items if is_template(it)]
+    templates = list(rule.templates)
     if rule.conclusion.succedent is not None and not isinstance(rule.conclusion.succedent, SuccVar):
         templates.append(rule.conclusion.succedent)
     return any(template_has_connective(t) for t in templates)
@@ -276,7 +367,7 @@ def transform_right_modal(rule: RuleSchema) -> RuleSchema:
     where C is the rule's conclusion antecedent."""
     if not is_right_modal(rule):
         raise ValueError(f"{rule.name} is not a right modal rule")
-    used = set(schema_metavars(rule))
+    used = set(rule.metavars)
     psi = FVar(_fresh("psi", used))
     delta = SuccVar(_fresh("D", used))
     c_ante = rule.conclusion.items
@@ -480,9 +571,7 @@ def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY) -> list[d
             return []
         base = matched
 
-    templates = [it for it in pat.items if is_template(it)]
-    boxed = [it for it in pat.items if isinstance(it, BoxedCtx)]
-    plains = [it for it in pat.items if isinstance(it, CtxVar)]
+    templates, boxed, plains = rule.templates, rule.boxed, rule.plains
     results: list = []
 
     def go_templates(i: int, remaining: FMultiset, inst: dict):
@@ -545,11 +634,16 @@ def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY) -> list[d
                 go_plain(i + 1, remaining.diff(sub), out)
 
     go_templates(0, s.antecedent, base)
+    # the three closures refer to each other; unbinding them frees them and
+    # what they hold now, not at the next run of the cyclic collector
+    del go_templates, go_boxed, go_plain
+    if not results:
+        return []
 
-    needed = set(schema_metavars(rule))
+    needed = rule.metavars.keys()
     unique: dict = {}
     for inst in results:
-        if set(inst) != needed:
+        if inst.keys() != needed:
             continue  # conclusion did not bind every schema metavariable
         if instantiate_pattern(pat, inst) != s:
             continue

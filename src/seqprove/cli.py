@@ -18,7 +18,9 @@ from .calculus import (
     g3ip, g4ip, is_right_modal,
 )
 from .dsl import parse_rules, print_rule
-from .orders import DYCKHOFF, SamplingConfig, WeightFunction, check_schema_termination
+from .orders import (
+    DYCKHOFF, SamplingConfig, WeightFunction, check_schema_termination, termination_guard,
+)
 from .prover import (
     SearchBudget, TerminationViolation, derivation_to_dict, format_derivation,
     prove_g3, prove_g4,
@@ -102,19 +104,6 @@ def _load_weights(spec: str) -> WeightFunction:
         raise CliError(str(e))
 
 
-def _guard_terminating(calculus: Calculus, seed: int) -> None:
-    cfg = SamplingConfig(samples=200, seed=seed)
-    for rule in calculus.rules:
-        verdict = check_schema_termination(DYCKHOFF, rule, cfg)
-        if verdict.is_counterexample:
-            raise CliError(
-                f"the g4 engine requires a terminating calculus, but rule {rule.name} "
-                f"fails the Dyckhoff order: {verdict.text()} (use --force to override)")
-        if verdict.status == "unknown":
-            print(f"warning: termination of rule {rule.name} could not be certified",
-                  file=sys.stderr)
-
-
 def cmd_prove(args) -> int:
     calculus = _resolve_calculus(args.calculus)
     engine = args.engine or ("g4" if calculus.style == "G4" else "g3")
@@ -126,7 +115,15 @@ def cmd_prove(args) -> int:
         goal = Sequent(FMultiset(), parse_formula(args.goal))
     if engine == "g4":
         if not args.force:
-            _guard_terminating(calculus, args.seed)
+            counterexample, uncertified = termination_guard(calculus, args.seed)
+            for name in uncertified:
+                print(f"warning: termination of rule {name} could not be certified",
+                      file=sys.stderr)
+            if counterexample is not None:
+                name, verdict = counterexample
+                raise CliError(
+                    f"the g4 engine requires a terminating calculus, but rule {name} "
+                    f"fails the Dyckhoff order: {verdict.text()} (use --force to override)")
         result = prove_g4(calculus, goal, match_mode=args.match)
     else:
         budget = SearchBudget(max_depth=args.depth, max_nodes=args.nodes)
@@ -290,6 +287,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except TerminationViolation as e:
         print(f"seqprove: termination violation: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("seqprove: error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .syntax import And, Bot, Imp, Modal, Or
 from .calculus import (
     AXIOM, AVar, BoxedCtx, CtxVar, DslValidationError, FVar, OTHER_MODAL,
-    Pattern, RIGHT_MODAL, RuleSchema, SuccVar, is_right_modal, schema_problems,
+    Pattern, RIGHT_MODAL, RuleSchema, SuccVar, schema_problems,
 )
 
 _KEYWORDS = {"rule", "premises", "conclusion", "none", "box", "false"}
@@ -230,11 +230,9 @@ class _RuleParser:
         self.expect("COLON")
         conclusion = self.seqpat()
         self.expect("RBRACE")
-        rule = RuleSchema(name, tuple(premises), conclusion, OTHER_MODAL,
-                          provenance="user")
         if not premises:
             kind = AXIOM
-        elif is_right_modal(rule):
+        elif conclusion.is_right_modal():
             kind = RIGHT_MODAL
         else:
             kind = OTHER_MODAL

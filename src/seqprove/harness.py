@@ -18,7 +18,7 @@ from .syntax import (
     sort_key, subformulas,
 )
 from .calculus import Calculus, build_g3ix, build_g4ix, builtin_modal_rules
-from .orders import DYCKHOFF, SamplingConfig, check_schema_termination
+from .orders import termination_guard
 from .prover import (
     SearchBudget, find_strict_sensible, is_irreducible, prove_g3, prove_g4,
     strict_sensible_throughout,
@@ -172,16 +172,6 @@ def _resolve_modal(cfg: FuzzConfig, modal) -> list:
     return out
 
 
-def _require_terminating(calculus: Calculus, seed: int) -> None:
-    cfg = SamplingConfig(samples=200, seed=seed)
-    for rule in calculus.rules:
-        verdict = check_schema_termination(DYCKHOFF, rule, cfg)
-        if verdict.is_counterexample:
-            raise ValueError(
-                f"the G4 engine requires a terminating calculus, but rule "
-                f"{rule.name} is not terminating in the Dyckhoff order: {verdict.text()}")
-
-
 # --- equivalence fuzzing --------------------------------------------------------
 
 def equivalence_fuzz(cfg: FuzzConfig, modal=None, match_mode: str = "greedy") -> Report:
@@ -195,7 +185,12 @@ def equivalence_fuzz(cfg: FuzzConfig, modal=None, match_mode: str = "greedy") ->
                           f"are not verified for this rule", stacklevel=2)
     c3 = build_g3ix(rules)
     c4 = build_g4ix(rules)
-    _require_terminating(c4, cfg.seed)
+    counterexample, _ = termination_guard(c4, cfg.seed)
+    if counterexample is not None:
+        name, verdict = counterexample
+        raise ValueError(
+            f"the G4 engine requires a terminating calculus, but rule "
+            f"{name} is not terminating in the Dyckhoff order: {verdict.text()}")
     report = Report(f"equivalence {c3.name} vs {c4.name}", cfg.count)
     for i in range(cfg.count):
         s = gen_sequent(cfg, i)

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 from .syntax import And, Atom, Bot, FMultiset, Formula, Imp, Modal, Or, Sequent, print_sequent
 from .calculus import (
-    AVar, BoxedCtx, CtxVar, FVar, Pattern, RuleSchema, SuccVar,
-    format_instantiation, instantiate_pattern, instantiate_premises,
-    is_template, schema_metavars,
+    AVar, BoxedCtx, Calculus, CtxVar, FVar, Pattern, RuleSchema, SuccVar,
+    format_instantiation, instantiate_pattern, instantiate_premises, is_template,
 )
 
 
@@ -308,11 +307,27 @@ def check_schema_termination(w: WeightFunction, rule: RuleSchema,
     if w.symbolic and all(_premise_certified(p, rule.conclusion, w) for p in rule.premises):
         return TerminationVerdict("terminating")
     rng = random.Random(f"{cfg.seed}:termination:{rule.name}")
-    sorts = schema_metavars(rule)
     for _ in range(cfg.samples):
-        inst = _sample_instantiation(sorts, rng, cfg)
+        inst = _sample_instantiation(rule.metavars, rng, cfg)
         concl = instantiate_pattern(rule.conclusion, inst)
         for i, pr in enumerate(instantiate_premises(rule, inst)):
             if not sequent_less(w, pr, concl):
                 return TerminationVerdict("counterexample", inst, i, pr, concl)
     return TerminationVerdict("unknown")
+
+
+def termination_guard(calculus: Calculus, seed: int):
+    """The check run before the G4 engine searches a calculus: each rule
+    against the Dyckhoff order under ``SamplingConfig(samples=200, seed=seed)``,
+    stopping at the first counterexample.  Returns that rule's name and verdict
+    (None if no rule fails) and the names of the rules checked whose
+    termination could not be certified."""
+    cfg = SamplingConfig(samples=200, seed=seed)
+    uncertified = []
+    for rule in calculus.rules:
+        verdict = check_schema_termination(DYCKHOFF, rule, cfg)
+        if verdict.is_counterexample:
+            return (rule.name, verdict), uncertified
+        if verdict.status == "unknown":
+            uncertified.append(rule.name)
+    return None, uncertified

@@ -9,7 +9,8 @@ succedent must not repeat along a branch) and can answer Unknown.
 
 Both engines share a strategy: close by axioms, then commit to the first
 applicable invertible rule, then branch over the remaining rule instances in
-deterministic order.
+deterministic order.  At each node they try only the rules of
+``Calculus.plan`` whose principal shapes the node's sequent offers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .syntax import And, Atom, Bot, Imp, Modal, Or, Sequent, parse_sequent, prin
 from .calculus import (
     AXIOM, EXHAUSTIVE, GREEDY, Calculus, RuleSchema, builtin_modal_rules,
     g3ip, g4ip, instantiate_pattern, instantiate_premises, instantiate_template,
-    is_right_modal, is_template, match_conclusion, transform_right_modal,
+    is_right_modal, match_conclusion, transform_right_modal,
 )
 from .orders import DYCKHOFF, WeightFunction, sequent_less
 
@@ -116,26 +117,6 @@ def walk(d: Derivation):
         yield from walk(c)
 
 
-# --- safe / branching rule split ---------------------------------------------
-
-_SAFE_ORDER = ("LAnd", "LOr", "RAnd", "RImp", "LpImp", "LAndImp", "LOrImp")
-
-
-@dataclass(frozen=True, eq=False)
-class _Plan:
-    axioms: tuple
-    safe: tuple
-    branching: tuple
-
-
-def _plan(calculus: Calculus) -> _Plan:
-    axioms = tuple(r for r in calculus.rules if not r.premises)
-    by_name = {r.name: r for r in calculus.rules}
-    safe = tuple(by_name[n] for n in _SAFE_ORDER if n in by_name)
-    rest = tuple(r for r in calculus.rules if r.premises and r.name not in _SAFE_ORDER)
-    return _Plan(axioms, safe, rest)
-
-
 # --- G4 engine ----------------------------------------------------------------
 
 def prove_g4(calculus: Calculus, s: Sequent, match_mode: str = GREEDY,
@@ -143,7 +124,7 @@ def prove_g4(calculus: Calculus, s: Sequent, match_mode: str = GREEDY,
     """Backward search in a terminating calculus: always definite.  Raises
     TerminationViolation if an applied rule instance fails to decrease the
     sequent order."""
-    plan = _plan(calculus)
+    plan = calculus.plan
     memo: dict = {}
 
     def check_decrease(rule: RuleSchema, premises, concl: Sequent):
@@ -156,13 +137,14 @@ def prove_g4(calculus: Calculus, s: Sequent, match_mode: str = GREEDY,
     def search(s: Sequent) -> Derivation | None:
         if s in memo:
             return memo[s]
-        for ax in plan.axioms:
+        node = plan.at(s)
+        for ax in node.axioms:
             insts = match_conclusion(ax, s, match_mode)
             if insts:
                 d = Derivation(s, ax.name, insts[0])
                 memo[s] = d
                 return d
-        for rule in plan.safe:
+        for rule in node.safe:
             insts = match_conclusion(rule, s, match_mode)
             if not insts:
                 continue
@@ -179,7 +161,7 @@ def prove_g4(calculus: Calculus, s: Sequent, match_mode: str = GREEDY,
             d = Derivation(s, rule.name, inst, tuple(kids))
             memo[s] = d
             return d
-        for rule in plan.branching:
+        for rule in node.branching:
             for inst in match_conclusion(rule, s, match_mode):
                 premises = instantiate_premises(rule, inst)
                 check_decrease(rule, premises, s)
@@ -198,6 +180,7 @@ def prove_g4(calculus: Calculus, s: Sequent, match_mode: str = GREEDY,
         return None
 
     d = search(s)
+    del search  # it refers to itself: unbinding it frees the memo now
     return provable(d) if d is not None else UNPROVABLE
 
 
@@ -232,8 +215,7 @@ def is_irreducible(s: Sequent) -> bool:
 
 def _g3_search(calculus: Calculus, goal: Sequent, budget: SearchBudget,
                match_mode: str, constrained: bool, memoize: bool = True):
-    plan = _plan(calculus)
-    right_modal = tuple(r for r in plan.branching if is_right_modal(r))
+    plan = calculus.plan
     proven: dict = {}
     failed: set = set()
     state = {"nodes": 0}
@@ -276,28 +258,29 @@ def _g3_search(calculus: Calculus, goal: Sequent, budget: SearchBudget,
         return Derivation(s, rule.name, inst, tuple(kids)), _INF, 0
 
     def expand(s, hist, depth, user_on_branch, restrict):
-        for ax in plan.axioms:
+        node = plan.at(s)
+        for ax in node.axioms:
             insts = match_conclusion(ax, s, match_mode)
             if insts:
                 return Derivation(s, ax.name, insts[0]), _INF, 0
         if restrict == _AX_OR_RIGHT_MODAL:
-            pool = right_modal
+            pool = tuple(r for r in node.branching if is_right_modal(r))
             irreducible_here = False
         else:
             irreducible_here = constrained and is_irreducible(s)
             if not irreducible_here:
                 # invertible rules decrease the Dyckhoff order, so they cannot
                 # loop: commit to the first applicable instance with no check
-                for rule in plan.safe:
+                for rule in node.safe:
                     insts = match_conclusion(rule, s, match_mode)
                     if insts:
                         return try_rule(rule, insts[0], s, hist, depth,
                                         user_on_branch, no_restrict)
-                pool = plan.branching
+                pool = node.branching
             else:
                 # the constrained space is not known to be closed under
                 # inversion, so branch over everything at irreducible nodes
-                pool = plan.safe + plan.branching
+                pool = node.safe + node.branching
         # loop check at branching nodes only: the support projection hides
         # multiplicity progress made by the invertible rules
         lkey = _loop_key(s)
@@ -326,6 +309,7 @@ def _g3_search(calculus: Calculus, goal: Sequent, budget: SearchBudget,
         return None, hit, flags
 
     d, _, flags = search(goal, {}, 0, False, _NO_RESTRICT)
+    del search  # search, expand and try_rule call each other; free them now
     if d is not None:
         return provable(d)
     if flags & _DIRTY:
@@ -385,8 +369,7 @@ def _principal_formulas(d: Derivation, calculus: Calculus | None):
     rule = _lookup_rule(d.rule, calculus)
     if rule is None or d.instantiation is None:
         return []
-    return [instantiate_template(it, d.instantiation)
-            for it in rule.conclusion.items if is_template(it)]
+    return [instantiate_template(it, d.instantiation) for it in rule.templates]
 
 
 def is_sensible(d: Derivation, calculus: Calculus | None = None) -> bool:

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from seqprove.syntax import And, Atom, FMultiset, Imp, Modal, parse_sequent, print_sequent
+from seqprove.syntax import (
+    And, Atom, FMultiset, Imp, Modal, Sequent, parse_formula, parse_sequent, print_sequent,
+)
 from seqprove.calculus import (
     AVar, AXIOM, BoxedCtx, CtxVar, EXHAUSTIVE, FVar, GREEDY, InstantiationError,
     InvalidRulesError, Pattern, RuleSchema, build_g3ix, build_g4ix,
@@ -10,6 +12,7 @@ from seqprove.calculus import (
     is_nonflat, is_right_modal, match_conclusion, schema_metavars,
     transform_right_modal, NonflatWarning,
 )
+from seqprove.dsl import parse_rules
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 B = builtin_modal_rules()
@@ -214,6 +217,61 @@ def test_succvar_binds_empty_succedent():
 
 def test_generated_rules_deduplicated():
     twin = RuleSchema("R_K2", B["R_K"].premises, B["R_K"].conclusion, "right-modal")
-    c4 = build_g4ix([B["R_K"], twin])
-    generated = [ru for ru in c4.rules if ru.provenance.startswith("generated")]
-    assert len(generated) == 1  # structurally equal transforms collapse
+    (dsl_twin,), _ = parse_rules("rule K2 { premises: G => phi ; conclusion: P, box G => box phi }")
+    for t in (twin, dsl_twin):
+        c4 = build_g4ix([B["R_K"], t])
+        generated = [ru for ru in c4.rules if ru.provenance.startswith("generated")]
+        assert len(generated) == 1  # structurally equal transforms collapse
+
+
+# box(1) rules written in the DSL: their templates need shapes no builtin rule
+# needs, and K1 makes build_g4ix generate K1->, which concludes box(1) phi -> psi
+DSL_RULES, _errors = parse_rules("""
+rule M1 { premises: G, phi, psi => p ; conclusion: G, box(1) phi, box(1) chi -> psi => p }
+rule K1 { premises: G => phi ; conclusion: P, box(1) G => box(1) phi }
+""")
+assert not _errors
+
+
+def test_plan_skips_only_rules_that_cannot_match():
+    # a pool with every principal shape: falsum, atoms, &, |, ->, and boxes of
+    # index 0 and 1; implications have each class of left side, so the plan
+    # also keeps rules that then do not match
+    pool = [parse_formula(t) for t in (
+        "false", "p", "q", "p & q", "p | q", "p -> q", "false -> q", "(p & q) -> r",
+        "(p | q) -> r", "(p -> q) -> r", "[]p -> q", "[1]p -> q", "[]p", "[1]q",
+        "[](p -> q)", "[1](p & q)", "[1]p -> p")]
+    modal = list(B.values()) + DSL_RULES
+    calculi = [build_g3ix(modal), build_g4ix(modal)]
+    assert {"M1", "K1", "K1->"} <= {ru.name for ru in calculi[1].rules}
+    rng = random.Random(29)
+    skipped = kept_and_matched = 0
+    for _ in range(300):
+        ante = FMultiset(rng.choice(pool) for _ in range(rng.randint(0, 3)))
+        s = Sequent(ante, rng.choice(pool) if rng.random() < 0.85 else None)
+        for calc in calculi:
+            plan = calc.plan
+            full = plan.axioms + plan.safe + plan.branching
+            assert sorted(map(id, full)) == sorted(map(id, calc.rules))
+            node = plan.at(s)
+            kept = node.axioms + node.safe + node.branching
+            assert [ru for ru in full if ru in kept] == list(kept)  # order kept
+            for rule in calc.rules:
+                if any(rule is k for k in kept):
+                    kept_and_matched += bool(match_conclusion(rule, s, GREEDY))
+                    continue
+                skipped += 1
+                assert match_conclusion(rule, s, GREEDY) == [], (rule.name, print_sequent(s))
+                assert match_conclusion(rule, s, EXHAUSTIVE) == [], (rule.name, print_sequent(s))
+    assert skipped > 1000 and kept_and_matched > 300
+
+
+def test_compiled_rule_data_leaves_schema_identity_alone():
+    rules = list(build_g4ix(list(B.values()) + DSL_RULES).rules) + list(g3ip().rules)
+    for rule in rules:
+        fields = (rule.name, rule.premises, rule.conclusion, rule.kind, rule.provenance)
+        again = RuleSchema(*fields)
+        assert again == rule and hash(again) == hash(rule) == hash(fields)
+        assert repr(rule) == ("RuleSchema(name=%r, premises=%r, conclusion=%r, kind=%r, "
+                              "provenance=%r)" % fields)
+        assert rule.metavars == schema_metavars(rule)

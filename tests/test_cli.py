@@ -60,20 +60,36 @@ def test_prove_emit_json(capsys):
     assert list(payload["derivation"].keys()) == ["sequent", "rule", "children"]
 
 
+def run_process(*argv, **env):
+    """Run ``python -m seqprove`` in a fresh interpreter on these sources."""
+    src = os.path.dirname(os.path.dirname(seqprove.__file__))
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "seqprove", *argv], env=env,
+                          capture_output=True, timeout=120)
+
+
 def test_prove_output_does_not_depend_on_hash_seed():
     # formula hashes mix class identity and string hashes, which differ from
     # process to process; nothing printed may follow hash order
-    argv = [sys.executable, "-m", "seqprove", "prove", "--calculus", "G4i+R_K", "--sequent",
+    argv = ["prove", "--calculus", "G4i+R_K", "--sequent",
             "[](p -> q), [](q -> r), []p, (s | []t) -> u => []r & (s -> u)", "--emit", "json"]
-    src = os.path.dirname(os.path.dirname(seqprove.__file__))
-    runs = []
-    for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        runs.append(subprocess.run(argv, env=env, capture_output=True, timeout=120))
+    runs = [run_process(*argv, PYTHONHASHSEED=seed) for seed in ("1", "2")]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["verdict"] == "provable"
+
+
+def test_prove_deep_nesting_is_an_input_error(capsys):
+    # the parser recurses once per prefix operator; past the recursion limit
+    # the answer is an input error, not a traceback with UNPROVABLE's exit code
+    deep = run_process("prove", "--calculus", "G4ip", "--sequent", "~" * 30000 + "p => p")
+    assert deep.returncode == 3
+    assert b"Traceback" not in deep.stderr
+    assert deep.stderr.decode().splitlines() == ["seqprove: error: input nested too deeply"]
+    assert deep.stdout == b""
+    code, out, _ = run(capsys, "prove", "--calculus", "G4ip", "--sequent", "~" * 2000 + "p => p")
+    assert (code, out) == (1, "UNPROVABLE\n")
 
 
 def test_prove_refuses_nonterminating_g4(capsys):

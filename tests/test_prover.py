@@ -1,8 +1,10 @@
+import gc
 import json
 import random
 
 import pytest
 
+from seqprove import calculus
 from seqprove.syntax import Atom, parse_sequent
 from seqprove.calculus import (
     EXHAUSTIVE, build_g3ix, build_g4ix, builtin_modal_rules, g3ip, g4ip,
@@ -247,3 +249,33 @@ def test_verdict_invariant_under_inversion_step():
             assert (r0.is_provable) == all(v.is_provable for v in verdicts), str(s)
             checked += 1
     assert checked >= 30
+
+
+def test_search_uses_the_rules_compiled_at_construction(monkeypatch):
+    c4, c3 = build_g4ix([B["R_K"], B["R_T"]]), build_g3ix([B["R_K"], B["R_T"]])
+    s = seq("[](p -> q), []p, (p & q) -> r, s | t => []q & ((s | t) -> (p | r))")
+    calls = []
+    schema_metavars = calculus.schema_metavars
+    monkeypatch.setattr(calculus, "schema_metavars",
+                        lambda rule: calls.append(rule.name) or schema_metavars(rule))
+    assert prove_g4(c4, s).is_provable
+    assert prove_g3(c3, s).is_provable
+    assert calls == []
+
+
+def test_search_leaves_no_reference_cycles():
+    # the engines and the matcher recurse through closures; they must not
+    # leave their memos and match results to the cyclic collector
+    c4, c3 = build_g4ix([B["R_K"], B["R_T"]]), build_g3ix([B["R_K"], B["R_T"]])
+    s = seq("[](p -> q), []p, (p & q) -> r, s | t => []q & ((s | t) -> (p | r))")
+    prove_g4(c4, s), prove_g3(c3, s)  # build the plans outside the measurement
+    gc.collect()
+    gc.disable()
+    try:
+        assert prove_g4(c4, s).is_provable
+        assert prove_g3(c3, s).is_provable
+        assert prove_g4(G4, seq("p | q => q")).status == "unprovable"
+        assert calculus.match_conclusion(c3.rule("LAnd"), seq("p & q, r & s => p"), EXHAUSTIVE)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
