@@ -8,6 +8,7 @@ Exit codes are a stable contract: 0 provable/success, 1 unprovable/negative,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -217,6 +218,7 @@ def cmd_rules_parse(args) -> int:
     return EXIT_USAGE if errors else 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="seqprove",
                      description="Proof search and calculus tooling for "

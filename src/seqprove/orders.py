@@ -251,7 +251,10 @@ def _templates_ok(prem: Pattern, concl: Pattern, w: WeightFunction) -> bool:
                     return True
         return rec(i + 1, used, deferred + (pt,))
 
-    return rec(0, frozenset(), ())
+    try:
+        return rec(0, frozenset(), ())
+    finally:
+        del rec  # it refers to itself: unbinding it frees it now
 
 
 def _premise_certified(prem: Pattern, concl: Pattern, w: WeightFunction) -> bool:

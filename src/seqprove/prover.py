@@ -1,15 +1,18 @@
 """Backward proof search, derivation objects, and independent proof checking.
 
-Two engines live here.  ``prove_g4`` searches a terminating (G4-style)
-calculus: the search space is finite because every applied rule instance is
-asserted to decrease the Dyckhoff sequent order, so it always answers
+One search kernel, ``_search``, serves every entry point; only its bound
+differs.  ``prove_g4`` searches a terminating (G4-style) calculus: every
+applied rule instance must decrease the Dyckhoff sequent order, which makes
+the search space finite, so it needs no loop check and always answers
 Provable or Unprovable.  ``prove_g3`` searches a G3-style calculus under a
 budget with a per-branch loop check (the antecedent's support set plus the
 succedent must not repeat along a branch) and can answer Unknown.
+``find_strict_sensible`` is the loop-checked search restricted at irreducible
+sequents to sensible, strict roots.
 
-Both engines share a strategy: close by axioms, then commit to the first
+The strategy is the same for all: close by axioms, then commit to the first
 applicable invertible rule, then branch over the remaining rule instances in
-deterministic order.  At each node they try only the rules of
+deterministic order.  At each node the search tries only the rules of
 ``Calculus.plan`` whose principal shapes the node's sequent offers.
 """
 
@@ -21,9 +24,8 @@ from dataclasses import dataclass
 
 from .syntax import And, Atom, Bot, Imp, Modal, Or, Sequent, parse_sequent, print_sequent
 from .calculus import (
-    AXIOM, EXHAUSTIVE, GREEDY, Calculus, RuleSchema, builtin_modal_rules,
-    g3ip, g4ip, instantiate_pattern, instantiate_premises, instantiate_template,
-    is_right_modal, match_conclusion, transform_right_modal,
+    AXIOM, EXHAUSTIVE, GREEDY, Calculus, instantiate_pattern, instantiate_premises,
+    instantiate_template, is_right_modal, match_conclusion,
 )
 from .orders import DYCKHOFF, WeightFunction, sequent_less
 
@@ -31,7 +33,7 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 
 class TerminationViolation(Exception):
-    """A rule instance applied by the G4 engine failed to decrease the order,
+    """A rule instance applied by ``prove_g4`` failed to decrease the order,
     i.e. a non-terminating calculus was passed."""
 
 
@@ -117,74 +119,7 @@ def walk(d: Derivation):
         yield from walk(c)
 
 
-# --- G4 engine ----------------------------------------------------------------
-
-def prove_g4(calculus: Calculus, s: Sequent, match_mode: str = GREEDY,
-             weight: WeightFunction = DYCKHOFF) -> ProofResult:
-    """Backward search in a terminating calculus: always definite.  Raises
-    TerminationViolation if an applied rule instance fails to decrease the
-    sequent order."""
-    plan = calculus.plan
-    memo: dict = {}
-
-    def check_decrease(rule: RuleSchema, premises, concl: Sequent):
-        for p in premises:
-            if not sequent_less(weight, p, concl):
-                raise TerminationViolation(
-                    f"rule {rule.name}: premise ({print_sequent(p)}) does not come "
-                    f"before the conclusion ({print_sequent(concl)})")
-
-    def search(s: Sequent) -> Derivation | None:
-        if s in memo:
-            return memo[s]
-        node = plan.at(s)
-        for ax in node.axioms:
-            insts = match_conclusion(ax, s, match_mode)
-            if insts:
-                d = Derivation(s, ax.name, insts[0])
-                memo[s] = d
-                return d
-        for rule in node.safe:
-            insts = match_conclusion(rule, s, match_mode)
-            if not insts:
-                continue
-            inst = insts[0]
-            premises = instantiate_premises(rule, inst)
-            check_decrease(rule, premises, s)
-            kids = []
-            for p in premises:
-                k = search(p)
-                if k is None:
-                    memo[s] = None
-                    return None
-                kids.append(k)
-            d = Derivation(s, rule.name, inst, tuple(kids))
-            memo[s] = d
-            return d
-        for rule in node.branching:
-            for inst in match_conclusion(rule, s, match_mode):
-                premises = instantiate_premises(rule, inst)
-                check_decrease(rule, premises, s)
-                kids = []
-                for p in premises:
-                    k = search(p)
-                    if k is None:
-                        kids = None
-                        break
-                    kids.append(k)
-                if kids is not None:
-                    d = Derivation(s, rule.name, inst, tuple(kids))
-                    memo[s] = d
-                    return d
-        memo[s] = None
-        return None
-
-    d = search(s)
-    del search  # it refers to itself: unbinding it frees the memo now
-    return provable(d) if d is not None else UNPROVABLE
-
-
-# --- G3 engine ----------------------------------------------------------------
+# --- search ---------------------------------------------------------------------
 
 _INF = float("inf")
 _DIRTY = 1  # budget was hit somewhere in the failed exploration
@@ -192,6 +127,8 @@ _TAINT = 2  # a pruned branch passed through a user-provenance modal rule
 
 _NO_RESTRICT = 0
 _AX_OR_RIGHT_MODAL = 1
+
+_UNSEEN = object()  # memo lookup default: the sequent was not searched yet
 
 
 def _loop_key(s: Sequent):
@@ -213,103 +150,126 @@ def is_irreducible(s: Sequent) -> bool:
     return not (atoms & imp_atoms)
 
 
-def _g3_search(calculus: Calculus, goal: Sequent, budget: SearchBudget,
-               match_mode: str, constrained: bool, memoize: bool = True):
-    plan = calculus.plan
-    proven: dict = {}
-    failed: set = set()
-    state = {"nodes": 0}
-    no_restrict = lambda i: _NO_RESTRICT
+def _check_decrease(weight: WeightFunction, rule, premises, s: Sequent):
+    for p in premises:
+        if not sequent_less(weight, p, s):
+            raise TerminationViolation(
+                f"rule {rule.name}: premise ({print_sequent(p)}) does not come "
+                f"before the conclusion ({print_sequent(s)})")
 
-    def search(s: Sequent, hist: dict, depth: int, user_on_branch: bool, restrict: int):
-        state["nodes"] += 1
-        if state["nodes"] > budget.max_nodes:
+
+def _search(calculus: Calculus, goal: Sequent, match_mode: str,
+            weight: WeightFunction | None = None, budget: SearchBudget | None = None,
+            constrained: bool = False, memoize: bool = True) -> ProofResult:
+    """The backward search behind every entry point.
+
+    With a ``weight`` every applied instance must decrease the sequent order
+    (else TerminationViolation), which bounds the search: no loop check, no
+    budget, always definite.  Without one, a per-branch loop check and
+    ``budget`` bound it.  ``constrained`` restricts irreducible nodes to
+    sensible roots, with a strict left premise under a boxed implication.
+
+    ``search`` returns (derivation or None, hit, flags): ``hit`` is the
+    shallowest depth whose loop-check key pruned the failed exploration, and
+    ``flags`` record a budget hit or a tainted prune.  A failure is memoized
+    only if it depends on neither, i.e. not on the branch's history.
+
+    ``search`` is one frame per node with as few locals as it can have: deep
+    searches stack many of them, and larger frames make CPython allocate and
+    free stack chunks under the matcher's calls more often.
+    """
+    plan = calculus.plan
+    max_depth, max_nodes = (budget.max_depth, budget.max_nodes) if budget else (_INF, _INF)
+    memo: dict = {}  # (sequent, restriction) -> derivation, or None if it failed
+    hist: dict = {}
+    nodes = 0
+
+    def search(s: Sequent, depth: int, user_on_branch: bool, restrict: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
             return None, _INF, _DIRTY
         key = (s, restrict)
-        if key in proven:
-            return proven[key], _INF, 0
-        if key in failed:
-            return None, _INF, 0
-        if depth >= budget.max_depth:
-            return None, _INF, _DIRTY
-        d, hit, flags = expand(s, hist, depth, user_on_branch, restrict)
-        if d is not None:
-            if memoize:
-                proven[key] = d
+        d = memo.get(key, _UNSEEN)
+        if d is not _UNSEEN:
             return d, _INF, 0
-        # a failure is history-independent only if every prune it involved
-        # matched a key recorded at this node or below, and no budget was hit
-        if memoize and flags == 0 and hit >= depth:
-            failed.add(key)
-        return None, hit, flags
-
-    def try_rule(rule, inst, s, hist, depth, user_on_branch, child_restrict):
-        premises = instantiate_premises(rule, inst)
-        ub = user_on_branch or rule.provenance == "user"
-        kids = []
-        hit, flags = _INF, 0
-        for i, p in enumerate(premises):
-            d, h, fl = search(p, hist, depth + 1, ub, child_restrict(i))
-            hit = min(hit, h)
-            flags |= fl
-            if d is None:
-                return None, hit, flags
-            kids.append(d)
-        return Derivation(s, rule.name, inst, tuple(kids)), _INF, 0
-
-    def expand(s, hist, depth, user_on_branch, restrict):
-        node = plan.at(s)
-        for ax in node.axioms:
-            insts = match_conclusion(ax, s, match_mode)
+        if depth >= max_depth:
+            return None, _INF, _DIRTY
+        pool = plan.at(s)
+        for rule in pool.axioms:
+            insts = match_conclusion(rule, s, match_mode)
             if insts:
-                return Derivation(s, ax.name, insts[0]), _INF, 0
+                d = Derivation(s, rule.name, insts[0])
+                if memoize:
+                    memo[key] = d
+                return d, _INF, 0
+        committed = None  # the one instance of an invertible rule, if any
+        irreducible = False
         if restrict == _AX_OR_RIGHT_MODAL:
-            pool = tuple(r for r in node.branching if is_right_modal(r))
-            irreducible_here = False
+            pool = tuple(r for r in pool.branching if is_right_modal(r))
+        elif constrained and is_irreducible(s):
+            # the constrained space is not known to be closed under
+            # inversion, so branch over everything at irreducible nodes
+            irreducible = True
+            pool = pool.safe + pool.branching
         else:
-            irreducible_here = constrained and is_irreducible(s)
-            if not irreducible_here:
-                # invertible rules decrease the Dyckhoff order, so they cannot
-                # loop: commit to the first applicable instance with no check
-                for rule in node.safe:
-                    insts = match_conclusion(rule, s, match_mode)
-                    if insts:
-                        return try_rule(rule, insts[0], s, hist, depth,
-                                        user_on_branch, no_restrict)
-                pool = node.branching
+            # invertible rules decrease the Dyckhoff order, so they cannot
+            # loop: commit to the first applicable instance with no check
+            for rule in pool.safe:
+                insts = match_conclusion(rule, s, match_mode)
+                if insts:
+                    pool, committed = (rule,), insts[:1]
+                    break
             else:
-                # the constrained space is not known to be closed under
-                # inversion, so branch over everything at irreducible nodes
-                pool = node.safe + node.branching
+                pool = pool.branching
         # loop check at branching nodes only: the support projection hides
         # multiplicity progress made by the invertible rules
-        lkey = _loop_key(s)
-        if lkey in hist:
-            return None, hist[lkey], _TAINT if user_on_branch else 0
-        hist[lkey] = depth
+        lkey = None
+        if weight is None and committed is None:
+            lkey = _loop_key(s)
+            if lkey in hist:
+                return None, hist[lkey], _TAINT if user_on_branch else 0
+            hist[lkey] = depth
         hit, flags = _INF, 0
-        try:
-            for rule in pool:
-                for inst in match_conclusion(rule, s, match_mode):
-                    child_restrict = no_restrict
-                    if irreducible_here and rule.name == "LImp":
-                        principal_left = inst["phi"]
-                        if isinstance(principal_left, Atom):
-                            continue  # an insensible root is not allowed here
-                        if isinstance(principal_left, Modal):
-                            child_restrict = (
-                                lambda i: _AX_OR_RIGHT_MODAL if i == 0 else _NO_RESTRICT)
-                    d, h, fl = try_rule(rule, inst, s, hist, depth, user_on_branch,
-                                        child_restrict)
-                    if d is not None:
-                        return d, _INF, 0
-                    hit, flags = min(hit, h), flags | fl
-        finally:
+        for rule in pool:
+            ub = user_on_branch or rule.provenance == "user"
+            for inst in committed or match_conclusion(rule, s, match_mode):
+                restrict = _NO_RESTRICT  # of the first premise
+                if irreducible and rule.name == "LImp":
+                    if isinstance(inst["phi"], Atom):
+                        continue  # an insensible root is not allowed here
+                    if isinstance(inst["phi"], Modal):
+                        restrict = _AX_OR_RIGHT_MODAL
+                premises = instantiate_premises(rule, inst)
+                if weight is not None:
+                    _check_decrease(weight, rule, premises, s)
+                kids = []
+                for p in premises:
+                    d, h, fl = search(p, depth + 1, ub, restrict)
+                    restrict = _NO_RESTRICT
+                    if h < hit:
+                        hit = h
+                    flags |= fl
+                    if d is None:
+                        break
+                    kids.append(d)
+                else:
+                    d = Derivation(s, rule.name, inst, tuple(kids))
+                    if lkey is not None:
+                        del hist[lkey]
+                    if memoize:
+                        memo[key] = d
+                    return d, _INF, 0
+        if lkey is not None:
             del hist[lkey]
+        if memoize and flags == 0 and hit >= depth:
+            memo[key] = None
         return None, hit, flags
 
-    d, _, flags = search(goal, {}, 0, False, _NO_RESTRICT)
-    del search  # search, expand and try_rule call each other; free them now
+    try:
+        d, _, flags = search(goal, 0, False, _NO_RESTRICT)
+    finally:
+        del search  # it refers to itself: unbinding it frees the memo now
     if d is not None:
         return provable(d)
     if flags & _DIRTY:
@@ -319,12 +279,20 @@ def _g3_search(calculus: Calculus, goal: Sequent, budget: SearchBudget,
     return UNPROVABLE
 
 
+def prove_g4(calculus: Calculus, s: Sequent, match_mode: str = GREEDY,
+             weight: WeightFunction = DYCKHOFF) -> ProofResult:
+    """Backward search in a terminating calculus: always definite.  Raises
+    TerminationViolation if an applied rule instance fails to decrease the
+    sequent order."""
+    return _search(calculus, s, match_mode, weight=weight)
+
+
 def prove_g3(calculus: Calculus, s: Sequent, budget: SearchBudget = DEFAULT_BUDGET,
              match_mode: str = GREEDY) -> ProofResult:
     """Loop-checked backward search in a G3-style calculus.  Unprovable means
     the loop-checked space was exhausted; Unknown carries the reason (budget
     exhausted, or a pruned branch that used a user-defined modal rule)."""
-    return _g3_search(calculus, s, budget, match_mode, constrained=False)
+    return _search(calculus, s, match_mode, budget=budget)
 
 
 def find_strict_sensible(calculus: Calculus, s: Sequent,
@@ -334,45 +302,20 @@ def find_strict_sensible(calculus: Calculus, s: Sequent,
     with an irreducible conclusion is sensible and strict at its root."""
     if not is_irreducible(s):
         raise ValueError(f"sequent is not irreducible: {print_sequent(s)}")
-    return _g3_search(calculus, s, budget, match_mode, constrained=True)
+    return _search(calculus, s, match_mode, budget=budget, constrained=True)
 
 
 # --- predicates over derivations ----------------------------------------------
 
-def _schema_registry() -> dict:
-    reg = {r.name: r for r in g3ip().rules}
-    reg.update({r.name: r for r in g4ip().rules})
-    for r in builtin_modal_rules().values():
-        reg[r.name] = r
-        if is_right_modal(r):
-            gen = transform_right_modal(r)
-            reg[gen.name] = gen
-    return reg
-
-
-_REGISTRY: dict | None = None
-
-
-def _lookup_rule(name: str, calculus: Calculus | None) -> RuleSchema | None:
-    global _REGISTRY
-    if calculus is not None:
-        r = calculus.rule(name)
-        if r is not None:
-            return r
-    if _REGISTRY is None:
-        _REGISTRY = _schema_registry()
-    return _REGISTRY.get(name)
-
-
-def _principal_formulas(d: Derivation, calculus: Calculus | None):
+def _principal_formulas(d: Derivation, calculus: Calculus):
     """Instantiated antecedent templates of the root rule's conclusion."""
-    rule = _lookup_rule(d.rule, calculus)
+    rule = calculus.rule(d.rule)
     if rule is None or d.instantiation is None:
         return []
     return [instantiate_template(it, d.instantiation) for it in rule.templates]
 
 
-def is_sensible(d: Derivation, calculus: Calculus | None = None) -> bool:
+def is_sensible(d: Derivation, calculus: Calculus) -> bool:
     """The root inference has no left principal formula p -> psi with p an atom."""
     for f in _principal_formulas(d, calculus):
         if isinstance(f, Imp) and isinstance(f.left, Atom):
@@ -380,7 +323,7 @@ def is_sensible(d: Derivation, calculus: Calculus | None = None) -> bool:
     return True
 
 
-def is_strict(d: Derivation, calculus: Calculus | None = None) -> bool:
+def is_strict(d: Derivation, calculus: Calculus) -> bool:
     """When the root is a left-implication inference on box phi -> psi, its left
     premise must be closed by an axiom or by a right modal rule."""
     if d.rule != "LImp" or d.instantiation is None:
@@ -388,14 +331,13 @@ def is_strict(d: Derivation, calculus: Calculus | None = None) -> bool:
     principal_left = d.instantiation.get("phi")
     if not isinstance(principal_left, Modal):
         return True
-    left = d.children[0]
-    left_rule = _lookup_rule(left.rule, calculus)
+    left_rule = calculus.rule(d.children[0].rule)
     if left_rule is None:
         return False
     return left_rule.kind == AXIOM or is_right_modal(left_rule)
 
 
-def strict_sensible_throughout(d: Derivation, calculus: Calculus | None = None) -> bool:
+def strict_sensible_throughout(d: Derivation, calculus: Calculus) -> bool:
     """Every subderivation with an irreducible conclusion is sensible and
     strict at its root."""
     return all(is_sensible(sub, calculus) and is_strict(sub, calculus)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -58,6 +59,25 @@ def test_prove_emit_json(capsys):
     assert payload["verdict"] == "provable"
     assert payload["derivation"]["rule"] == "RImp"
     assert list(payload["derivation"].keys()) == ["sequent", "rule", "children"]
+
+
+def test_prove_leaves_no_reference_cycles(capsys):
+    # the termination guard's template search and the argument parser must not
+    # leave their objects to the cyclic collector; the default --emit verdict
+    # keeps json.dumps(indent=2), which leaves stdlib cycles, out of the count.
+    # The first call builds what later calls reuse (the parser leaves cycles
+    # once, when it is built).
+    argv = ["prove", "--calculus", "G4i+R_K", "--sequent", "[]p, []q => [](p & q)"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert code == 0
+    assert capsys.readouterr().out.split() == ["PROVABLE", "PROVABLE"]
 
 
 def run_process(*argv, **env):
