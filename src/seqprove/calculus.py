@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .syntax import (
-    And, Atom, Bot, FMultiset, Formula, Imp, Modal, Or, Sequent, _from_counts,
+    EMPTY, And, Atom, Bot, FMultiset, Formula, Imp, Modal, Or, Sequent, _from_counts,
     print_formula, sort_key,
 )
 
@@ -555,6 +555,12 @@ def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY) -> list[d
     plain context metavariable, enumerating only the principal-formula choices.
     Exhaustive mode enumerates every antecedent partition.  The result list is
     deterministically ordered.
+
+    Matching runs in stages over partial matches (binding, unmatched
+    antecedent): the succedent, then each formula template, boxed context
+    and plain context of the conclusion in turn.  For a schema without
+    ``schema_problems`` the matcher is exact: every instantiation it returns
+    re-instantiates to ``s``, and it produces each one once.
     """
     pat = rule.conclusion
     base: dict = {}
@@ -571,84 +577,44 @@ def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY) -> list[d
             return []
         base = matched
 
-    templates, boxed, plains = rule.templates, rule.boxed, rule.plains
-    results: list = []
-
-    def go_templates(i: int, remaining: FMultiset, inst: dict):
-        if i == len(templates):
-            go_boxed(0, remaining, inst)
-            return
-        t = templates[i]
-        for f in remaining.support():
-            nxt = match_template(t, f, inst)
-            if nxt is not None:
-                go_templates(i + 1, remaining.remove(f), nxt)
-
-    def go_boxed(i: int, remaining: FMultiset, inst: dict):
-        if i == len(boxed):
-            go_plain(0, remaining, inst)
-            return
-        cv = boxed[i]
-        if cv.name in inst:
-            need = _box_multiset(inst[cv.name], cv.index)
-            if need.issubset(remaining):
-                go_boxed(i + 1, remaining.diff(need), inst)
-            return
-        candidates = _from_counts({f: n for f, n in remaining.items()
-                                   if isinstance(f, Modal) and f.index == cv.index})
-        if mode == GREEDY:
-            bodies = _from_counts({f.body: n for f, n in candidates.items()})
-            out = dict(inst)
-            out[cv.name] = bodies
-            go_boxed(i + 1, remaining.diff(candidates), out)
-        else:
-            for sub in _submultisets(candidates):
-                out = dict(inst)
-                out[cv.name] = _from_counts({f.body: n for f, n in sub.items()})
-                go_boxed(i + 1, remaining.diff(sub), out)
-
-    def go_plain(i: int, remaining: FMultiset, inst: dict):
-        if i == len(plains):
-            if not remaining:
-                results.append(inst)
-            return
-        cv = plains[i]
-        if cv.name in inst:
-            need = inst[cv.name]
-            if need.issubset(remaining):
-                go_plain(i + 1, remaining.diff(need), inst)
-            return
-        last = i == len(plains) - 1
-        if last:
-            out = dict(inst)
-            out[cv.name] = remaining
-            go_plain(i + 1, _from_counts({}), out)
-        elif mode == GREEDY:
-            out = dict(inst)
-            out[cv.name] = _from_counts({})
-            go_plain(i + 1, remaining, out)
-        else:
-            for sub in _submultisets(remaining):
-                out = dict(inst)
-                out[cv.name] = sub
-                go_plain(i + 1, remaining.diff(sub), out)
-
-    go_templates(0, s.antecedent, base)
-    # the three closures refer to each other; unbinding them frees them and
-    # what they hold now, not at the next run of the cyclic collector
-    del go_templates, go_boxed, go_plain
-    if not results:
-        return []
+    greedy = mode == GREEDY
+    partial = [(base, s.antecedent)]
+    for t in rule.templates:
+        partial = [(nxt, rest.remove(f)) for inst, rest in partial for f in rest.support()
+                   if (nxt := match_template(t, f, inst)) is not None]
+    for cv in rule.boxed:
+        step = []
+        for inst, rest in partial:
+            if cv.name in inst:
+                need = _box_multiset(inst[cv.name], cv.index)
+                if need.issubset(rest):
+                    step.append((inst, rest.diff(need)))
+                continue
+            boxes = _from_counts({f: n for f, n in rest.items()
+                                  if isinstance(f, Modal) and f.index == cv.index})
+            for sub in (boxes,) if greedy else _submultisets(boxes):
+                bodies = _from_counts({f.body: n for f, n in sub.items()})
+                step.append(({**inst, cv.name: bodies}, rest.diff(sub)))
+        partial = step
+    for i, cv in enumerate(rule.plains):
+        step = []
+        for inst, rest in partial:
+            if cv.name in inst:
+                need = inst[cv.name]
+                if need.issubset(rest):
+                    step.append((inst, rest.diff(need)))
+            elif i == len(rule.plains) - 1:
+                step.append(({**inst, cv.name: rest}, EMPTY))
+            else:
+                for sub in (EMPTY,) if greedy else _submultisets(rest):
+                    step.append(({**inst, cv.name: sub}, rest.diff(sub)))
+        partial = step
 
     needed = rule.metavars.keys()
-    unique: dict = {}
-    for inst in results:
-        if inst.keys() != needed:
-            continue  # conclusion did not bind every schema metavariable
-        if instantiate_pattern(pat, inst) != s:
-            continue
-        unique.setdefault(_inst_key(inst), inst)
-    return [unique[k] for k in sorted(unique)]
+    results = [inst for inst, rest in partial if not rest and inst.keys() == needed]
+    if len(results) > 1:
+        results.sort(key=_inst_key)
+    return results
 
 
 def format_instantiation(inst: dict) -> str:

@@ -229,36 +229,31 @@ def _sym_less(t1, t2, w: WeightFunction) -> bool:
     return total >= 1
 
 
-def _templates_ok(prem: Pattern, concl: Pattern, w: WeightFunction) -> bool:
+def _templates_ok(prem_ts: list, concl_ts: list, w: WeightFunction, i: int = 0,
+                  used: frozenset = frozenset(), deferred: tuple = ()) -> bool:
     """Search a replacement plan for the concrete formulas: premise templates
     either cancel against an identical conclusion template or must sit
     symbolically below some replaced conclusion template; at least one
     conclusion template must end up replaced (that guarantees the replaced set
-    is nonempty under every instantiation, including empty contexts)."""
-    prem_ts = _template_items(prem)
-    concl_ts = _template_items(concl)
-
-    def rec(i: int, used: frozenset, deferred: tuple) -> bool:
-        if i == len(prem_ts):
-            replaced = [ct for j, ct in enumerate(concl_ts) if j not in used]
-            if not replaced:
-                return False
-            return all(any(_sym_less(pt, ct, w) for ct in replaced) for pt in deferred)
-        pt = prem_ts[i]
-        for j, ct in enumerate(concl_ts):
-            if j not in used and ct == pt:
-                if rec(i + 1, used | {j}, deferred):
-                    return True
-        return rec(i + 1, used, deferred + (pt,))
-
-    try:
-        return rec(0, frozenset(), ())
-    finally:
-        del rec  # it refers to itself: unbinding it frees it now
+    is nonempty under every instantiation, including empty contexts).  The
+    search is at premise template ``i``, with the conclusion templates ``used``
+    already cancelled and the premise templates ``deferred``."""
+    if i == len(prem_ts):
+        replaced = [ct for j, ct in enumerate(concl_ts) if j not in used]
+        if not replaced:
+            return False
+        return all(any(_sym_less(pt, ct, w) for ct in replaced) for pt in deferred)
+    pt = prem_ts[i]
+    for j, ct in enumerate(concl_ts):
+        if j not in used and ct == pt:
+            if _templates_ok(prem_ts, concl_ts, w, i + 1, used | {j}, deferred):
+                return True
+    return _templates_ok(prem_ts, concl_ts, w, i + 1, used, deferred + (pt,))
 
 
 def _premise_certified(prem: Pattern, concl: Pattern, w: WeightFunction) -> bool:
-    return _ctx_occurrences_ok(prem, concl) and _templates_ok(prem, concl, w)
+    return (_ctx_occurrences_ok(prem, concl)
+            and _templates_ok(_template_items(prem), _template_items(concl), w))
 
 
 _SAMPLE_ATOMS = ("p", "q", "r", "s", "t", "u", "v", "w")

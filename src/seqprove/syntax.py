@@ -180,14 +180,11 @@ class FMultiset:
 
     __slots__ = ("_items", "_counts", "_size", "_hash")
 
-    def __init__(self, formulas=()):
+    def __new__(cls, formulas=()):
         counts: dict = {}
         for f in formulas:
             counts[f] = counts.get(f, 0) + 1
-        self._counts = counts
-        self._items = tuple(sorted(counts.items(), key=lambda kv: sort_key(kv[0])))
-        self._size = sum(n for _, n in self._items)
-        self._hash = hash(self._items)
+        return _from_counts(counts)
 
     def items(self):
         """Pairs (formula, multiplicity) in canonical order."""
@@ -262,9 +259,11 @@ class FMultiset:
 
 
 def _from_counts(counts: dict) -> FMultiset:
-    ms = FMultiset.__new__(FMultiset)
+    """The multiset with multiplicities ``counts`` (all positive).  It keeps
+    ``counts`` itself, so the caller must not change the dict afterwards."""
+    ms = object.__new__(FMultiset)
     items = tuple(sorted(counts.items(), key=lambda kv: sort_key(kv[0])))
-    ms._counts = dict(counts)
+    ms._counts = counts
     ms._items = items
     ms._size = sum(n for _, n in items)
     ms._hash = hash(items)

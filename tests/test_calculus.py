@@ -12,6 +12,7 @@ from seqprove.calculus import (
     is_nonflat, is_right_modal, match_conclusion, schema_metavars,
     transform_right_modal, NonflatWarning,
 )
+from seqprove import calculus
 from seqprove.dsl import parse_rules
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -182,6 +183,17 @@ def test_match_greedy_subset_of_exhaustive():
         assert greedy <= exhaustive
 
 
+# rules that name a context twice in their conclusion, or have two plain
+# contexts: only these reach the matcher's branches for an already bound
+# context and for a plain context that is not the last
+REPEATED_RULES, _errors = parse_rules("""
+rule KG { premises: G => phi ; conclusion: G, box G => box phi }
+rule DD { premises: G, phi => D ; conclusion: box G, box G, box phi => D }
+rule TP { premises: G, phi => D ; conclusion: G, P, box phi => D }
+""")
+assert not _errors
+
+
 def test_match_reproduces_sequent():
     rng = random.Random(23)
     pool = [p, q, Modal(0, p), Imp(Modal(0, q), p), And(p, q), Imp(p, q)]
@@ -193,6 +205,38 @@ def test_match_reproduces_sequent():
         rule = rng.choice(rules)
         for inst in match_conclusion(rule, s, EXHAUSTIVE):
             assert instantiate_pattern(rule.conclusion, inst) == s
+    # the matcher is exact for every builtin, generated and DSL rule in both
+    # modes: each instance gives back s, and the instances' _inst_keys strictly
+    # increase, so the list is in order and holds no instance twice
+    pool += [Modal(0, Modal(0, p)), Modal(1, p), Modal(1, Modal(0, q)), Imp(Modal(1, p), q)]
+    rules = build_g4ix(list(B.values()) + DSL_RULES + REPEATED_RULES).rules + (g3ip().rule("LImp"),)
+    assert {"R_K->", "R_SL->", "K1->", "KG->"} <= {ru.name for ru in rules}
+    # seeded sequents rarely repeat the boxes KG, DD and K1 need; these do
+    sequents = [parse_sequent(text) for text in (
+        "[]p, []p, []q =>", "[]p, []p, [][]p, [][]p, []q => q", "p, []p, q, []q => []r",
+        "[]p, [][]p => []r", "[1]p, [1]p, [1]q, [1][]q, [1]p -> q => [1]p")]
+    for _ in range(300):
+        ante = FMultiset(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+        sequents.append(Sequent(ante, rng.choice(pool) if rng.random() < 0.85 else None))
+    hits: dict = {}
+    for s in sequents:
+        for rule in rules:
+            for mode in (GREEDY, EXHAUSTIVE):
+                insts = match_conclusion(rule, s, mode)
+                assert all(instantiate_pattern(rule.conclusion, i) == s for i in insts)
+                keys = [calculus._inst_key(i) for i in insts]
+                assert keys == sorted(set(keys)), (rule.name, mode, print_sequent(s))
+                hits[rule.name, mode] = hits.get((rule.name, mode), 0) + len(insts)
+    for name in ("KG", "DD", "TP", "K1", "K1->", "M1"):
+        assert hits[name, EXHAUSTIVE] >= hits[name, GREEDY] > 0, name
+
+
+def test_one_match_needs_no_ordering_key(monkeypatch):
+    def no_key(inst):
+        raise AssertionError("a single instance was given an ordering key")
+    monkeypatch.setattr(calculus, "_inst_key", no_key)
+    insts = match_conclusion(g4ip().rule("LpImp"), parse_sequent("p, p -> q => r"))
+    assert insts == [{"G": FMultiset(), "p": p, "phi": q, "D": r}]
 
 
 def test_instantiate_unbound_raises():

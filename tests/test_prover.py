@@ -265,8 +265,8 @@ def test_search_uses_the_rules_compiled_at_construction(monkeypatch):
 
 
 def test_search_leaves_no_reference_cycles():
-    # the engines and the matcher recurse through closures; they must not
-    # leave their memos and match results to the cyclic collector
+    # the search kernel recurses through a closure; neither it nor the matcher
+    # may leave memos or match results to the cyclic collector
     c4, c3 = build_g4ix([B["R_K"], B["R_T"]]), build_g3ix([B["R_K"], B["R_T"]])
     s = seq("[](p -> q), []p, (p & q) -> r, s | t => []q & ((s | t) -> (p | r))")
     prove_g4(c4, s), prove_g3(c3, s)  # build the plans outside the measurement
