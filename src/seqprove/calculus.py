@@ -118,7 +118,8 @@ class RuleSchema:
     provenance: str = "builtin"
     templates: tuple = _compiled()     # formula templates of the antecedent
     boxed: tuple = _compiled()         # BoxedCtx items of the antecedent
-    plains: tuple = _compiled()        # CtxVar items of the antecedent
+    plains: tuple = _compiled()        # CtxVar items, the one taking the rest last
+    repeated: frozenset = _compiled()  # context names used more than once
     metavars: dict = _compiled()       # schema_metavars(self)
     ante_shapes: frozenset = _compiled()  # shapes the antecedent must offer
     succ_shape: object = _compiled()   # shape the succedent must have, or None
@@ -126,10 +127,19 @@ class RuleSchema:
     def __post_init__(self):
         items, succ = self.conclusion.items, self.conclusion.succedent
         templates = tuple(it for it in items if is_template(it))
+        names = [it.name for it in items if not is_template(it)]
+        repeated = frozenset(n for n in names if names.count(n) > 1)
+        # the last plain context used once takes what the others leave, so
+        # it is matched after them
+        plains = [it for it in items if isinstance(it, CtxVar)]
+        once = [i for i, it in enumerate(plains) if it.name not in repeated]
+        if once:
+            plains.append(plains.pop(once[-1]))
         compiled = {
             "templates": templates,
             "boxed": tuple(it for it in items if isinstance(it, BoxedCtx)),
-            "plains": tuple(it for it in items if isinstance(it, CtxVar)),
+            "plains": tuple(plains),
+            "repeated": repeated,
             "metavars": schema_metavars(self),
             "ante_shapes": frozenset(filter(None, map(_shape, templates))),
             "succ_shape": (None if succ is None or isinstance(succ, SuccVar)
@@ -173,7 +183,7 @@ class SearchPlan:
     def at(self, s: Sequent) -> "SearchPlan":
         """This plan without the rules whose required shapes ``s`` lacks, for
         which ``match_conclusion`` could only return []."""
-        ante = set(map(_shape, s.antecedent.support()))
+        ante = set(map(_shape, s.antecedent.distinct()))
         succ = None if s.succedent is None else _shape(s.succedent)
 
         def keep(rules):
@@ -447,7 +457,7 @@ def instantiate_template(t, inst: dict) -> Formula:
 
 
 def _box_multiset(ms: FMultiset, index: int) -> FMultiset:
-    counts = {Modal(index, f): n for f, n in ms.items()}
+    counts = {Modal(index, f): n for f, n in ms.pairs()}
     return _from_counts(counts)
 
 
@@ -459,14 +469,14 @@ def instantiate_pattern(p: Pattern, inst: dict) -> Sequent:
                 ms = inst[item.name]
             except KeyError:
                 raise InstantiationError(f"unbound metavariable {item.name}") from None
-            for f, n in ms.items():
+            for f, n in ms.pairs():
                 counts[f] = counts.get(f, 0) + n
         elif isinstance(item, BoxedCtx):
             try:
                 ms = inst[item.name]
             except KeyError:
                 raise InstantiationError(f"unbound metavariable {item.name}") from None
-            for f, n in ms.items():
+            for f, n in ms.pairs():
                 g = Modal(item.index, f)
                 counts[g] = counts.get(g, 0) + n
         else:
@@ -528,7 +538,7 @@ def match_template(t, f: Formula, inst: dict) -> dict | None:
 
 
 def _submultisets(ms: FMultiset):
-    items = ms.items()
+    items = tuple(ms.pairs())
     ranges = [range(n + 1) for _, n in items]
     for combo in itertools.product(*ranges):
         counts = {f: k for (f, _), k in zip(items, combo) if k > 0}
@@ -552,9 +562,11 @@ def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY) -> list[d
 
     Greedy mode binds each boxed context metavariable to the maximal multiset
     of suitably boxed antecedent formulas and hands the remainder to the last
-    plain context metavariable, enumerating only the principal-formula choices.
-    Exhaustive mode enumerates every antecedent partition.  The result list is
-    deterministically ordered.
+    plain context metavariable, enumerating only the principal-formula choices;
+    a context name the conclusion uses more than once is enumerated over
+    sub-multisets at its first use, as in exhaustive mode, so that its other
+    uses can take their share.  Exhaustive mode enumerates every antecedent
+    partition.  The result list is deterministically ordered.
 
     Matching runs in stages over partial matches (binding, unmatched
     antecedent): the succedent, then each formula template, boxed context
@@ -580,9 +592,10 @@ def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY) -> list[d
     greedy = mode == GREEDY
     partial = [(base, s.antecedent)]
     for t in rule.templates:
-        partial = [(nxt, rest.remove(f)) for inst, rest in partial for f in rest.support()
+        partial = [(nxt, rest.remove(f)) for inst, rest in partial for f in rest.distinct()
                    if (nxt := match_template(t, f, inst)) is not None]
     for cv in rule.boxed:
+        every = not greedy or cv.name in rule.repeated  # every sub-multiset
         step = []
         for inst, rest in partial:
             if cv.name in inst:
@@ -590,13 +603,14 @@ def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY) -> list[d
                 if need.issubset(rest):
                     step.append((inst, rest.diff(need)))
                 continue
-            boxes = _from_counts({f: n for f, n in rest.items()
+            boxes = _from_counts({f: n for f, n in rest.pairs()
                                   if isinstance(f, Modal) and f.index == cv.index})
-            for sub in (boxes,) if greedy else _submultisets(boxes):
-                bodies = _from_counts({f.body: n for f, n in sub.items()})
+            for sub in _submultisets(boxes) if every else (boxes,):
+                bodies = _from_counts({f.body: n for f, n in sub.pairs()})
                 step.append(({**inst, cv.name: bodies}, rest.diff(sub)))
         partial = step
     for i, cv in enumerate(rule.plains):
+        every = not greedy or cv.name in rule.repeated
         step = []
         for inst, rest in partial:
             if cv.name in inst:
@@ -606,7 +620,7 @@ def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY) -> list[d
             elif i == len(rule.plains) - 1:
                 step.append(({**inst, cv.name: rest}, EMPTY))
             else:
-                for sub in (EMPTY,) if greedy else _submultisets(rest):
+                for sub in _submultisets(rest) if every else (EMPTY,):
                     step.append(({**inst, cv.name: sub}, rest.diff(sub)))
         partial = step
 

@@ -86,10 +86,10 @@ def multiset_less(w: WeightFunction, delta: FMultiset, gamma: FMultiset) -> bool
     more formulas of strictly lower weight.  Decided from the multiplicities
     alone: everything delta has more of must sit below the heaviest formula
     gamma has more of.  No intermediate multiset is built."""
-    lost = [f for f, n in gamma.items() if n > delta.count(f)]
+    lost = [f for f, n in gamma.pairs() if n > delta.count(f)]
     if not lost:
         return False
-    gained = [f for f, n in delta.items() if n > gamma.count(f)]
+    gained = [f for f, n in delta.pairs() if n > gamma.count(f)]
     if not gained:
         return True
     top = max(w.weight(f) for f in lost)

@@ -132,7 +132,7 @@ _UNSEEN = object()  # memo lookup default: the sequent was not searched yet
 
 
 def _loop_key(s: Sequent):
-    return frozenset(s.antecedent.support()), s.succedent
+    return frozenset(s.antecedent.distinct()), s.succedent
 
 
 def is_irreducible(s: Sequent) -> bool:
@@ -140,7 +140,7 @@ def is_irreducible(s: Sequent) -> bool:
     alongside an implication p -> psi; the succedent is unconstrained."""
     atoms = set()
     imp_atoms = set()
-    for f in s.antecedent.support():
+    for f in s.antecedent.distinct():
         if isinstance(f, (And, Or, Bot)):
             return False
         if isinstance(f, Atom):

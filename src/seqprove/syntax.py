@@ -8,12 +8,12 @@ freely between concurrent searches.
 
 Formulas are hash-consed: every constructor call goes through one intern
 table keyed by the class and the fields, so equal formulas are one object and
-formula equality is identity.  A node stores its hash, computed once from its
-key (whose children already hold theirs), and caches its :func:`sort_key` on
-first use; hashing and comparing cost O(1) at any depth.  The table lives for
-the whole process, as did the unbounded ``sort_key`` cache it replaces, and as
-does the weight cache of a ``WeightFunction``: those already kept every
-formula that was put in a multiset or weighed alive.
+formula equality is identity.  So a node hashes by identity and stores no
+hash of its own; it caches its :func:`sort_key` on first use.  Hashing and
+comparing cost O(1) at any depth.  The table lives for the whole process, as
+did the unbounded ``sort_key`` cache it replaces, and as does the weight cache
+of a ``WeightFunction``: those already kept every formula that was put in a
+multiset or weighed alive.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ def _intern(key: tuple):
     node = object.__new__(cls)
     for name, value in zip(cls._fields, key[1:]):
         object.__setattr__(node, name, value)
-    object.__setattr__(node, "_hash", hash(key))
     object.__setattr__(node, "_sort_key", None)
     return _TABLE.setdefault(key, node)
 
@@ -50,11 +49,8 @@ class Formula:
     """Base of the formula nodes.  Build nodes only through the subclass
     constructors, which return the interned node for their arguments."""
 
-    __slots__ = ("_hash", "_sort_key")
+    __slots__ = ("_sort_key",)
     _fields: tuple = ()
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -174,11 +170,16 @@ def subformulas(f: Formula) -> set[Formula]:
 class FMultiset:
     """Immutable finite multiset of formulas with canonical iteration order.
 
-    Iteration, printing and all derived algorithms follow the structural order
-    given by :func:`sort_key`, so every consumer is deterministic.
+    A multiset keeps only its multiplicities; equality and hashing do not
+    depend on any order.  Iteration, printing and all derived algorithms
+    follow the structural order given by :func:`sort_key`, so every consumer
+    is deterministic.  That order, like the hash, is computed on first use and
+    kept: most multisets the search builds are only matched, never printed.
+    Code whose result cannot depend on order reads :meth:`pairs` or
+    :meth:`distinct` instead, which never sort.
     """
 
-    __slots__ = ("_items", "_counts", "_size", "_hash")
+    __slots__ = ("_counts", "_items", "_size", "_hash")
 
     def __new__(cls, formulas=()):
         counts: dict = {}
@@ -188,17 +189,29 @@ class FMultiset:
 
     def items(self):
         """Pairs (formula, multiplicity) in canonical order."""
-        return self._items
+        items = self._items
+        if items is None:
+            counts = self._counts
+            items = self._items = tuple((f, counts[f]) for f in sorted(counts, key=sort_key))
+        return items
+
+    def pairs(self):
+        """Read-only view of the pairs (formula, multiplicity), in no fixed order."""
+        return self._counts.items()
+
+    def distinct(self):
+        """Read-only view of the distinct formulas, in no fixed order."""
+        return self._counts.keys()
 
     def support(self):
         """Distinct formulas in canonical order."""
-        return tuple(f for f, _ in self._items)
+        return tuple(f for f, _ in self.items())
 
     def count(self, f: Formula) -> int:
         return self._counts.get(f, 0)
 
     def __iter__(self):
-        for f, n in self._items:
+        for f, n in self.items():
             for _ in range(n):
                 yield f
 
@@ -212,10 +225,13 @@ class FMultiset:
         return f in self._counts
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FMultiset) and self._items == other._items
+        return self is other or (isinstance(other, FMultiset) and self._counts == other._counts)
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(frozenset(self._counts.items()))
+        return h
 
     def __repr__(self) -> str:
         return "{" + ", ".join(print_formula(f) for f in self) + "}"
@@ -223,7 +239,7 @@ class FMultiset:
     def union(self, other) -> "FMultiset":
         """Multiset union: multiplicities add up."""
         out = dict(self._counts)
-        pairs = other.items() if isinstance(other, FMultiset) else ((f, 1) for f in other)
+        pairs = other._counts.items() if isinstance(other, FMultiset) else ((f, 1) for f in other)
         for f, n in pairs:
             out[f] = out.get(f, 0) + n
         return _from_counts(out)
@@ -247,26 +263,27 @@ class FMultiset:
 
     def diff(self, other: "FMultiset") -> "FMultiset":
         """Saturating multiset difference."""
+        theirs = other._counts
         out = {}
-        for f, n in self._items:
-            m = n - other.count(f)
+        for f, n in self._counts.items():
+            m = n - theirs.get(f, 0)
             if m > 0:
                 out[f] = m
         return _from_counts(out)
 
     def issubset(self, other: "FMultiset") -> bool:
-        return all(other.count(f) >= n for f, n in self._items)
+        theirs = other._counts
+        return all(theirs.get(f, 0) >= n for f, n in self._counts.items())
 
 
 def _from_counts(counts: dict) -> FMultiset:
     """The multiset with multiplicities ``counts`` (all positive).  It keeps
     ``counts`` itself, so the caller must not change the dict afterwards."""
     ms = object.__new__(FMultiset)
-    items = tuple(sorted(counts.items(), key=lambda kv: sort_key(kv[0])))
     ms._counts = counts
-    ms._items = items
-    ms._size = sum(n for _, n in items)
-    ms._hash = hash(items)
+    ms._items = None
+    ms._size = sum(counts.values())
+    ms._hash = None
     return ms
 
 

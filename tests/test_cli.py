@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,10 @@ import sys
 import pytest
 
 import seqprove
+from seqprove.calculus import build_g3ix, build_g4ix
 from seqprove.cli import main
+from seqprove.dsl import parse_rules
+from seqprove.prover import check_derivation, derivation_from_dict
 
 
 def run(capsys, *argv):
@@ -98,6 +102,54 @@ def test_prove_output_does_not_depend_on_hash_seed():
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["verdict"] == "provable"
+
+
+# sha256 of each sampling command's stdout, recorded when every multiset was
+# sorted at construction and every formula stored a hash of its structure
+SAMPLING_OUTPUTS = {
+    ("equiv-test", "--modal", "R_K,R_T", "--count", "200", "--seed", "7"):
+        (0, "1b6c07e3c59b2cdb87d94ff2c08f7c9271de047565d928d9bd1ad24d666af441"),
+    ("check-termination", "--rules", "R_K,R_D,R_T,R_K4,R_GL,R_SL,R_X"):
+        (1, "7ccafc593644a71306d30584abd85f5f95135ee49ff8f6c2afab3c65e1a1c1a9"),
+}
+
+
+@pytest.mark.parametrize("argv", list(SAMPLING_OUTPUTS), ids=lambda argv: argv[0])
+def test_sampling_output_is_pinned(argv):
+    # the sampled sequents, instantiations and counterexamples follow
+    # canonical order, never hash or construction order
+    code, digest = SAMPLING_OUTPUTS[argv]
+    for seed in ("1", "2"):
+        run = run_process(*argv, PYTHONHASHSEED=seed)
+        assert run.returncode == code
+        assert hashlib.sha256(run.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("calc, rule, sequent", [
+    ("G4i", "rule DD { premises: G, phi => D ; conclusion: box G, box G, box phi => D }",
+     "[]p, []p, []false =>"),
+    ("G3i", "rule KP { premises: G => phi ; conclusion: P, G, box G => box phi }",
+     "[]p, []q, p => []p"),
+    ("G4i", "rule CC { premises: G, phi => D ; conclusion: G, G, box phi => D }",
+     "p, p, []false =>"),
+], ids=["DD", "KP", "CC"])
+def test_greedy_match_splits_a_repeated_context(capsys, tmp_path, calc, rule, sequent):
+    # a context named twice must share the formulas between its uses: greedy
+    # matching that gives the first use all it can take finds no instance
+    f = tmp_path / "repeated.rules"
+    f.write_text(rule + "\n")
+    rules, errors = parse_rules(rule)
+    assert not errors
+    calculus = (build_g4ix if calc == "G4i" else build_g3ix)(rules)
+    for match in ("greedy", "exhaustive"):
+        code, out, _ = run(capsys, "prove", "--calculus", f"{calc}+{f}", "--sequent", sequent,
+                           "--match", match, "--emit", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "provable"
+        d = derivation_from_dict(payload["derivation"])
+        assert d.rule == rules[0].name
+        assert check_derivation(calculus, d)
 
 
 def test_prove_deep_nesting_is_an_input_error(capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from seqprove.calculus import FVar
+from seqprove.calculus import BoxedCtx, CtxVar, FVar, Pattern, _box_multiset, instantiate_pattern
 from seqprove.syntax import (
     And, Atom, Bot, FMultiset, Imp, Modal, Or, ParseError, Sequent, degree,
     interpret, parse_formula, parse_sequent, print_formula, print_sequent,
@@ -155,6 +155,56 @@ def test_multiset_canonical_iteration():
     ms = FMultiset([Imp(p, q), p, Bot(), p])
     assert list(ms) == [Bot(), p, p, Imp(p, q)]
     assert ms.support() == (Bot(), p, Imp(p, q))
+
+
+def test_every_construction_path_gives_the_same_multiset():
+    # the multiset {p, []p, []p, [](q & r), []false, q -> p}, built every way
+    boxed = [Modal(0, p), Modal(0, p), Modal(0, And(q, r)), Modal(0, Bot())]
+    plain = [p, Imp(q, p)]
+    target = FMultiset(plain + boxed)
+    built = [
+        FMultiset(boxed + plain),
+        FMultiset([boxed[2], p, boxed[0], Imp(q, p), boxed[3], boxed[1]]),
+        FMultiset(boxed).union(FMultiset(plain)),
+        FMultiset(plain).union(boxed),
+        FMultiset(plain).add(Modal(0, p), 2).union(boxed[2:]),
+        FMultiset(plain + boxed + [r, r, Modal(0, p)]).remove(r, 2).remove(Modal(0, p)),
+        FMultiset(plain + boxed + [q, Modal(0, p)]).diff(FMultiset([Modal(0, p), q, q])),
+        _box_multiset(FMultiset([p, And(q, r), Bot(), p]), 0).union(plain),
+        instantiate_pattern(Pattern((CtxVar("G"), BoxedCtx("H"), Modal(0, FVar("phi")))),
+                            {"G": FMultiset(plain), "H": FMultiset([p, p, Bot()]),
+                             "phi": And(q, r)}).antecedent,
+        parse_sequent("[]false, q -> p, [](q & r), []p, p, []p =>").antecedent,
+    ]
+    keys = [sort_key(f) for f, _ in target.items()]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    for ms in built:
+        assert ms == target and not ms != target
+        assert hash(ms) == hash(target)
+        assert ms.items() == target.items()
+        assert repr(ms) == repr(target) == "{p, q -> p, []false, []p, []p, [](q & r)}"
+        assert len(ms) == 6 and list(ms) == [f for f, n in target.items() for _ in range(n)]
+    assert len({*built, target}) == 1
+    assert target != target.add(p) and target != target.remove(p)
+
+
+def test_unordered_views_are_read_only():
+    ms = FMultiset([Imp(p, q), p, Modal(0, r), p])
+    pairs, distinct = ms.pairs(), ms.distinct()
+    assert set(pairs) == set(ms.items())
+    assert set(distinct) == set(ms.support())
+    for view in (pairs, distinct):
+        with pytest.raises(TypeError):
+            view.mapping[q] = 1
+        with pytest.raises(AttributeError):
+            view.add((q, 1))
+    assert ms == FMultiset([p, p, Imp(p, q), Modal(0, r)]) and q not in ms
+
+
+def test_formulas_hash_by_identity():
+    f = parse_formula("[](p -> q) & r")
+    assert type(f).__hash__ is object.__hash__
+    assert hash(f) == object.__hash__(f)
 
 
 def test_sort_key_total_order():
