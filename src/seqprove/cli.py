@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -23,8 +22,8 @@ from .orders import (
     DYCKHOFF, SamplingConfig, WeightFunction, check_schema_termination, termination_guard,
 )
 from .prover import (
-    SearchBudget, TerminationViolation, derivation_to_dict, format_derivation,
-    prove_g3, prove_g4,
+    SearchBudget, TerminationViolation, derivation_to_dict, dumps_indented,
+    format_derivation, prove_g3, prove_g4,
 )
 from .harness import FuzzConfig, equivalence_fuzz
 
@@ -141,7 +140,7 @@ def cmd_prove(args) -> int:
             payload["reason"] = result.reason
         payload["derivation"] = (derivation_to_dict(result.derivation)
                                  if result.derivation is not None else None)
-        print(json.dumps(payload, indent=2))
+        print(dumps_indented(payload, 2))
     if result.is_provable:
         return EXIT_PROVABLE
     if result.is_unprovable:

@@ -14,6 +14,17 @@ The strategy is the same for all: close by axioms, then commit to the first
 applicable invertible rule, then branch over the remaining rule instances in
 deterministic order.  At each node the search tries only the rules of
 ``Calculus.plan`` whose principal shapes the node's sequent offers.
+
+Derivations serialize as nested ``{"sequent", "rule", "children"}`` dicts.
+A node's sequent shares most formulas with its parent's, so
+``derivation_to_dict`` passes one formula-to-text memo to ``print_sequent``
+for the whole tree and ``derivation_from_dict`` one text-to-formula memo to
+``parse_sequent``: each distinct formula is printed and parsed once per
+derivation.  The memos are dropped when the call returns.  Indented JSON
+comes from ``dumps_indented``, byte-identical to ``json.dumps(obj,
+indent=k)`` but without the stdlib's pure-Python encoder.  ``walk``,
+``height`` and ``format_derivation`` use explicit stacks, so they work on
+derivations of any depth.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .syntax import And, Atom, Bot, Imp, Modal, Or, Sequent, parse_sequent, print_sequent
 from .calculus import (
@@ -99,9 +111,14 @@ def unknown(reason: str) -> ProofResult:
 
 def height(d: Derivation) -> int:
     """Length of the longest branch; a single node counts as height 1."""
-    if not d.children:
-        return 1
-    return 1 + max(height(c) for c in d.children)
+    best = 0
+    stack = [(d, 1)]
+    while stack:
+        node, h = stack.pop()
+        if h > best:
+            best = h
+        stack.extend((c, h + 1) for c in node.children)
+    return best
 
 
 def leftmost_length(d: Derivation) -> int:
@@ -114,9 +131,13 @@ def leftmost_length(d: Derivation) -> int:
 
 
 def walk(d: Derivation):
-    yield d
-    for c in d.children:
-        yield from walk(c)
+    """Every node of ``d`` in preorder: a node, then its children's subtrees
+    left to right."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 # --- search ---------------------------------------------------------------------
@@ -374,29 +395,103 @@ def check_derivation(calculus: Calculus, d: Derivation) -> bool:
 # --- serialization ----------------------------------------------------------------
 
 def derivation_to_dict(d: Derivation) -> dict:
+    return _to_dict(d, {})
+
+
+def _to_dict(d: Derivation, texts: dict) -> dict:
     return {
-        "sequent": print_sequent(d.conclusion),
+        "sequent": print_sequent(d.conclusion, texts),
         "rule": d.rule,
-        "children": [derivation_to_dict(c) for c in d.children],
+        "children": [_to_dict(c, texts) for c in d.children],
     }
 
 
 def derivation_from_dict(obj: dict) -> Derivation:
-    children = tuple(derivation_from_dict(c) for c in obj.get("children", ()))
-    return Derivation(parse_sequent(obj["sequent"]), obj["rule"], None, children)
+    return _from_dict(obj, {})
+
+
+def _from_dict(obj: dict, formulas: dict) -> Derivation:
+    children = tuple(_from_dict(c, formulas) for c in obj.get("children", ()))
+    return Derivation(parse_sequent(obj["sequent"], formulas), obj["rule"], None, children)
 
 
 def derivation_to_json(d: Derivation, indent: int | None = None) -> str:
-    return json.dumps(derivation_to_dict(d), indent=indent)
+    obj = derivation_to_dict(d)
+    return json.dumps(obj) if indent is None else dumps_indented(obj, indent)
 
 
 def derivation_from_json(text: str) -> Derivation:
     return derivation_from_dict(json.loads(text))
 
 
+_END = object()  # exhausted-iterator default in dumps_indented
+
+
+def dumps_indented(obj, indent: int) -> str:
+    """``json.dumps(obj, indent=indent)``, byte for byte, for dicts with str
+    keys, lists, str, int, bool and None, nested without cycles.
+
+    With an indent the stdlib runs its pure-Python encoder, one generator per
+    nesting level and chunk; this writes from an explicit stack instead and
+    quotes strings with the C ``encode_basestring_ascii`` that ``json.dumps``
+    uses.  Without an indent ``json.dumps`` is C throughout and needs no help.
+    """
+    step = " " * indent
+    out = []
+    stack = []  # (items of an open container, is a dict, its closing line)
+    nl = "\n"
+    value, first = obj, False
+    while True:
+        if isinstance(value, str):
+            out.append(_quote(value))
+        elif value is None:
+            out.append("null")
+        elif value is True:
+            out.append("true")
+        elif value is False:
+            out.append("false")
+        elif isinstance(value, int):
+            out.append(int.__repr__(value))
+        elif isinstance(value, (dict, list)):
+            is_dict = isinstance(value, dict)
+            if not value:
+                out.append("{}" if is_dict else "[]")
+            else:
+                close = nl + ("}" if is_dict else "]")
+                nl += step
+                out.append(("{" if is_dict else "[") + nl)
+                stack.append((iter(value.items() if is_dict else value), is_dict, close))
+                first = True
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        while stack:
+            items, is_dict, close = stack[-1]
+            item = next(items, _END)
+            if item is _END:
+                stack.pop()
+                nl = close[:-1]
+                out.append(close)
+                continue
+            if not first:
+                out.append("," + nl)
+            first = False
+            if is_dict:
+                key, value = item
+                out.append(_quote(key) + ": ")  # TypeError unless a str
+            else:
+                value = item
+            break
+        else:
+            return "".join(out)
+
+
 def format_derivation(d: Derivation, depth: int = 0) -> str:
     """ASCII proof tree, conclusion first."""
-    lines = ["  " * depth + f"{print_sequent(d.conclusion)}   [{d.rule}]"]
-    for c in d.children:
-        lines.append(format_derivation(c, depth + 1))
+    texts: dict = {}
+    lines = []
+    stack = [(d, depth)]
+    while stack:
+        node, k = stack.pop()
+        lines.append("  " * k + f"{print_sequent(node.conclusion, texts)}   [{node.rule}]")
+        stack.extend((c, k + 1) for c in reversed(node.children))
     return "\n".join(lines)

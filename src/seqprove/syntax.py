@@ -429,8 +429,31 @@ def parse_formula(text: str) -> Formula:
     return f
 
 
-def parse_sequent(text: str) -> Sequent:
-    """Parse ``f1, f2, ... => g`` (either side may be empty)."""
+def parse_sequent(text: str, formulas: dict | None = None) -> Sequent:
+    """Parse ``f1, f2, ... => g`` (either side may be empty).
+
+    ``formulas`` is an optional memo from formula text to formula, shared by
+    the caller across many sequents that repeat formulas, such as the nodes
+    of one derivation.  With it, the text is split at ``=>`` and ``,`` and
+    each distinct stripped piece is parsed once with :func:`parse_formula`.
+    The split is exact because no formula token contains ``=>`` or ``,``:
+    a text the token parser accepts has them exactly where it reads its
+    separators, and a piece holding a second ``=>`` does not parse as a
+    formula.  On an empty piece or any ParseError the whole text is parsed
+    again as tokens, so the result and every error message and offset are
+    the same with or without the memo.
+    """
+    if formulas is not None:
+        left, arrow, right = text.partition("=>")
+        if arrow:
+            try:
+                ante = ([_memo_formula(piece, formulas) for piece in left.split(",")]
+                        if left.strip() else [])
+                succ = _memo_formula(right, formulas) if right.strip() else None
+            except ParseError:
+                pass
+            else:
+                return Sequent(FMultiset(ante), succ)
     p = _FormulaParser(_tokenize(text))
     ante = []
     if p.peek()[0] != "SEQARROW":
@@ -444,6 +467,17 @@ def parse_sequent(text: str) -> Sequent:
         succ = p.formula()
     p.expect("EOF")
     return Sequent(FMultiset(ante), succ)
+
+
+def _memo_formula(piece: str, formulas: dict) -> Formula:
+    """The formula of one piece of a split sequent text, parsed at most once."""
+    piece = piece.strip()
+    if not piece:
+        raise ParseError("empty formula", 0)  # caught: the token parser reports it
+    f = formulas.get(piece)
+    if f is None:
+        f = formulas[piece] = parse_formula(piece)
+    return f
 
 
 # --- printing --------------------------------------------------------------
@@ -479,9 +513,18 @@ def print_formula(f: Formula) -> str:
     return _pf(f, _PREC_IMP)
 
 
-def print_sequent(s: Sequent) -> str:
-    left = ", ".join(print_formula(f) for f in s.antecedent)
-    right = print_formula(s.succedent) if s.succedent is not None else ""
+def print_sequent(s: Sequent, texts: dict | None = None) -> str:
+    """Text of ``s``; inverse of :func:`parse_sequent`.
+
+    ``texts`` is an optional memo from formula to its text, shared by the
+    caller across many sequents that repeat formulas, such as the nodes of one
+    derivation, so that each distinct formula is printed once.  The result is
+    the same with or without it.
+    """
+    if texts is None:
+        texts = {}
+    left = ", ".join([_memo_text(f, texts) for f in s.antecedent])
+    right = _memo_text(s.succedent, texts) if s.succedent is not None else ""
     if left and right:
         return f"{left} => {right}"
     if left:
@@ -489,3 +532,10 @@ def print_sequent(s: Sequent) -> str:
     if right:
         return f"=> {right}"
     return "=>"
+
+
+def _memo_text(f: Formula, texts: dict) -> str:
+    t = texts.get(f)
+    if t is None:
+        t = texts[f] = print_formula(f)
+    return t

@@ -65,13 +65,14 @@ def test_prove_emit_json(capsys):
     assert list(payload["derivation"].keys()) == ["sequent", "rule", "children"]
 
 
-def test_prove_leaves_no_reference_cycles(capsys):
-    # the termination guard's template search and the argument parser must not
-    # leave their objects to the cyclic collector; the default --emit verdict
-    # keeps json.dumps(indent=2), which leaves stdlib cycles, out of the count.
+@pytest.mark.parametrize("emit", ["verdict", "text", "json"])
+def test_prove_leaves_no_reference_cycles(capsys, emit):
+    # the termination guard's template search, the argument parser and the
+    # output writers must not leave their objects to the cyclic collector.
     # The first call builds what later calls reuse (the parser leaves cycles
     # once, when it is built).
-    argv = ["prove", "--calculus", "G4i+R_K", "--sequent", "[]p, []q => [](p & q)"]
+    argv = ["prove", "--calculus", "G4i+R_K", "--sequent", "[]p, []q => [](p & q)",
+            "--emit", emit]
     assert main(argv) == 0
     gc.collect()
     gc.disable()
@@ -81,7 +82,20 @@ def test_prove_leaves_no_reference_cycles(capsys):
     finally:
         gc.enable()
     assert code == 0
-    assert capsys.readouterr().out.split() == ["PROVABLE", "PROVABLE"]
+    verdict = '"verdict": "provable"' if emit == "json" else "PROVABLE"
+    assert capsys.readouterr().out.count(verdict) == 2
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--calculus", "G4i+R_K", "--sequent", "[]p, []q => [](p & q)"], 0),
+    (["--calculus", "G4ip", "p | ~p"], 1),
+    (["--calculus", "G3ip", "--nodes", "3", "((p -> q) -> p) -> p"], 2),
+    (["--calculus", "G4ip", "--sequent", "é, é -> q => q"], 0),
+])
+def test_prove_emit_json_is_json_dumps_indent_2(capsys, argv, expected):
+    code, out, _ = run(capsys, "prove", *argv, "--emit", "json")
+    assert code == expected
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def run_process(*argv, **env):

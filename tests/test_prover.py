@@ -1,19 +1,22 @@
+import functools
 import gc
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
 from seqprove import calculus
-from seqprove.syntax import Atom, parse_sequent
+from seqprove.syntax import Atom, parse_sequent, print_sequent
 from seqprove.calculus import (
     EXHAUSTIVE, build_g3ix, build_g4ix, builtin_modal_rules, g3ip, g4ip,
 )
 from seqprove.prover import (
     Derivation, SearchBudget, TerminationViolation, check_derivation,
-    derivation_from_json, derivation_to_json, find_strict_sensible, height,
-    is_irreducible, is_sensible, is_strict, leftmost_length, prove_g3, prove_g4,
+    derivation_from_dict, derivation_from_json, derivation_to_dict, derivation_to_json,
+    dumps_indented, find_strict_sensible, format_derivation, height, is_irreducible,
+    is_sensible, is_strict, leftmost_length, prove_g3, prove_g4,
     strict_sensible_throughout, walk,
 )
 
@@ -285,18 +288,14 @@ def test_search_leaves_no_reference_cycles():
 SEARCH_FINGERPRINT = "d9e556951b668e96044894859c7a60b4704e5382e62274b044d7c0b17cd20f06"
 
 
-def _search_fingerprint() -> str:
-    """sha256 of the status, reason and derivation of every search over seeded
-    harness streams: prove_g4 and prove_g3 with R_K, R_D and R_T, tight
-    budgets, a user rule that taints pruned branches, and the strict search."""
+@functools.cache
+def _pinned_results() -> tuple:
+    """Every search over seeded harness streams: prove_g4 and prove_g3 with
+    R_K, R_D and R_T, tight budgets, a user rule that taints pruned branches,
+    and the strict search."""
     from seqprove.dsl import parse_rules
     from seqprove.harness import FuzzConfig, _irreducible_candidate, gen_sequent
-    digest = hashlib.sha256()
-
-    def record(res):
-        blob = derivation_to_json(res.derivation) if res.derivation is not None else ""
-        digest.update(f"{res.status}|{res.reason}|{blob}\n".encode())
-
+    out = []
     cfg = FuzzConfig(seed=5, count=0, max_size=9, atoms=3, max_modal_depth=2)
     tight = SearchBudget(max_depth=6, max_nodes=300)
     for names in ((), ("R_K",), ("R_K", "R_D"), ("R_K", "R_T"), ("R_T",)):
@@ -304,15 +303,15 @@ def _search_fingerprint() -> str:
         c4, c3 = build_g4ix(modal), build_g3ix(modal)
         for i in range(60):
             s = gen_sequent(cfg, i)
-            record(prove_g4(c4, s))
-            record(prove_g3(c3, s))
-            record(prove_g3(c3, s, tight))
+            out.append(prove_g4(c4, s))
+            out.append(prove_g3(c3, s))
+            out.append(prove_g3(c3, s, tight))
     rules, errors = parse_rules(
         "rule Spin { premises: G, box phi => D ; conclusion: G, box phi => D }")
     assert not errors
     spin = build_g3ix([B["R_K"], *rules])
     for i in range(40):
-        record(prove_g3(spin, gen_sequent(cfg, i)))
+        out.append(prove_g3(spin, gen_sequent(cfg, i)))
     budget = SearchBudget(max_depth=40, max_nodes=20_000)
     for names in (("R_K",), ("R_K", "R_T")):
         c3 = build_g3ix([B[n] for n in names])
@@ -320,9 +319,22 @@ def _search_fingerprint() -> str:
         for i in range(400):
             s = _irreducible_candidate(cfg, i)
             if is_irreducible(s):
-                record(find_strict_sensible(c3, s, budget))
+                out.append(find_strict_sensible(c3, s, budget))
                 found += 1
         assert found >= 100
+    return tuple(out)
+
+
+def _pinned_derivations() -> list:
+    return [res.derivation for res in _pinned_results() if res.derivation is not None]
+
+
+def _search_fingerprint() -> str:
+    """sha256 of the status, reason and derivation of every pinned search."""
+    digest = hashlib.sha256()
+    for res in _pinned_results():
+        blob = derivation_to_json(res.derivation) if res.derivation is not None else ""
+        digest.update(f"{res.status}|{res.reason}|{blob}\n".encode())
     return digest.hexdigest()
 
 
@@ -331,3 +343,88 @@ def test_search_picks_the_same_derivations():
     # reason, changes the hash; only an intended change of the search order
     # may update the constant
     assert _search_fingerprint() == SEARCH_FINGERPRINT
+
+
+def _walk_ref(d):
+    yield d
+    for c in d.children:
+        yield from _walk_ref(c)
+
+
+def _height_ref(d):
+    return 1 + max((_height_ref(c) for c in d.children), default=0)
+
+
+def _format_ref(d, depth=0):
+    lines = ["  " * depth + f"{print_sequent(d.conclusion)}   [{d.rule}]"]
+    lines.extend(_format_ref(c, depth + 1) for c in d.children)
+    return "\n".join(lines)
+
+
+def test_traversals_match_recursive_references():
+    derivations = _pinned_derivations()
+    assert len(derivations) > 500
+    for d in derivations:
+        assert [id(n) for n in walk(d)] == [id(n) for n in _walk_ref(d)]
+        assert height(d) == _height_ref(d)
+        assert format_derivation(d) == _format_ref(d)
+        assert format_derivation(d, 3) == _format_ref(d, 3)
+
+
+def _chain(n):
+    """A linear derivation with ``n`` nodes, built directly."""
+    s = seq("p => p")
+    d = Derivation(s, "Ax", None)
+    for _ in range(n - 1):
+        d = Derivation(s, "X", None, (d,))
+    return d
+
+
+def test_deep_derivations_do_not_recurse():
+    d = _chain(30_000)
+    assert sum(1 for _ in walk(d)) == 30_000
+    assert height(d) == 30_000
+    # every line is indented by its depth, so a 30,000-deep text would take
+    # about 1 GB; a lower recursion limit shows the same independence
+    shallow = _chain(3_000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        lines = format_derivation(shallow).split("\n")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(lines) == 3_000
+    assert lines[-1] == "  " * 2_999 + "p => p   [Ax]"
+
+
+def test_dict_round_trip_over_pinned_derivations():
+    for d in _pinned_derivations():
+        loaded = derivation_from_dict(derivation_to_dict(d))
+        assert [(n.conclusion, n.rule) for n in walk(loaded)] == \
+            [(n.conclusion, n.rule) for n in walk(d)]
+
+
+def test_indented_writer_is_json_dumps():
+    # json.dumps(..., indent=k) is the reference, byte for byte
+    payloads = [derivation_to_dict(d) for d in _pinned_derivations()]
+    payloads += [
+        {}, [], [[]], [{}], {"a": []}, {"a": {}, "b": [[], {}]}, [[[[]]]],
+        None, True, False, 0, -7, 2 ** 70, "", [None, True, False, 1, "x"],
+        {"verdict": "unknown", "reason": "budget-exhausted", "derivation": None},
+        {"verdict": "unprovable", "derivation": None},
+        derivation_to_dict(Derivation(seq("é, π -> q => é & q"), 'Rü"\\le',
+                                      None, (Derivation(seq("=> é"), "Ax\t\n", None),))),
+        {'quote " back \\ slash': ['☃', "\x00\x1f\x7f", "\ud800"]},
+    ]
+    for obj in payloads:
+        for indent in (2, 0, 4):
+            assert dumps_indented(obj, indent) == json.dumps(obj, indent=indent)
+    d = _pinned_derivations()[-1]
+    assert derivation_to_json(d, indent=2) == json.dumps(derivation_to_dict(d), indent=2)
+    assert derivation_to_json(d) == json.dumps(derivation_to_dict(d))
+
+
+def test_indented_writer_rejects_what_it_cannot_write():
+    for obj in ([object()], {1: "x"}, {"a": 1.5}):
+        with pytest.raises(TypeError):
+            dumps_indented(obj, 2)
