@@ -9,8 +9,8 @@ templates over formula/atom metavariables, and its succedent is empty, a
 succedent metavariable, or a formula template.
 
 Each schema is compiled when it is built: its conclusion split into templates
-and contexts, its metavariables, and the principal shapes its conclusion
-requires.  ``Calculus.plan`` orders the rules for search and drops, per
+and contexts, the templates into match stages, its metavariables, and the
+principal shapes its conclusion requires.  ``Calculus.plan`` orders the rules for search and drops, per
 sequent, the rules whose shapes the sequent does not offer.
 """
 
@@ -109,7 +109,20 @@ def _compiled():
 class RuleSchema:
     """A rule schema.  The fields after ``provenance`` are compiled once, at
     construction, for matching and dispatch; they take no part in equality,
-    hashing or the repr."""
+    hashing or the repr.
+
+    ``stages`` holds the antecedent templates in the order
+    ``match_conclusion`` runs them: those with a connective first, then the
+    others, each in schema order, so that a bare metavariable is mostly
+    bound by the time its stage runs.  A stage is ``(template, lookup, cls,
+    left)``.  A closed stage has nothing left to bind, so it is one
+    membership test of ``lookup``: the template itself when it has no
+    metavariables, or the name of a bare metavariable that the succedent or
+    an earlier stage binds.  An open stage (``lookup`` None) tries only the
+    formulas of class ``cls`` and, for a binary template, whose left side
+    has class ``left`` (None accepts any class).  A compound template whose
+    metavariables are all bound stays open: a lookup would build, and so
+    intern, a formula the sequent may lack."""
 
     name: str
     premises: tuple
@@ -117,6 +130,7 @@ class RuleSchema:
     kind: str
     provenance: str = "builtin"
     templates: tuple = _compiled()     # formula templates of the antecedent
+    stages: tuple = _compiled()        # the templates compiled for matching
     boxed: tuple = _compiled()         # BoxedCtx items of the antecedent
     plains: tuple = _compiled()        # CtxVar items, the one taking the rest last
     repeated: frozenset = _compiled()  # context names used more than once
@@ -137,6 +151,7 @@ class RuleSchema:
             plains.append(plains.pop(once[-1]))
         compiled = {
             "templates": templates,
+            "stages": _stages(templates, succ),
             "boxed": tuple(it for it in items if isinstance(it, BoxedCtx)),
             "plains": tuple(plains),
             "repeated": repeated,
@@ -147,6 +162,33 @@ class RuleSchema:
         }
         for name, value in compiled.items():
             object.__setattr__(self, name, value)
+
+
+def _stages(templates: tuple, succ) -> tuple:
+    """The match stages of antecedent ``templates`` under ``succ`` (see
+    ``RuleSchema``)."""
+    bound = set()
+    if succ is not None and not isinstance(succ, SuccVar):
+        bound = {name for name, _ in template_vars(succ)}
+    stages = []
+    for t in sorted(templates, key=lambda t: not template_has_connective(t)):
+        names = {name for name, _ in template_vars(t)}
+        if not names:
+            lookup = t
+        elif isinstance(t, (FVar, AVar)) and t.name in bound:
+            lookup = t.name
+        else:
+            lookup = None
+        left = _class(t.left) if isinstance(t, (And, Or, Imp)) else None
+        stages.append((t, lookup, _class(t), left))
+        bound |= names
+    return tuple(stages)
+
+
+def _class(t):
+    """The class of every formula that template ``t`` matches, or None."""
+    cls = type(t)
+    return None if cls is FVar else Atom if cls is AVar else cls
 
 
 # --- principal shapes -------------------------------------------------------
@@ -549,7 +591,14 @@ def _binding_key(value):
     if value is None:
         return (0,)
     if isinstance(value, FMultiset):
-        return (1, tuple(sort_key(f) for f in value))
+        # the sort keys in canonical order: sorting the keys themselves skips
+        # building (and keeping) the canonical order of a multiset that is
+        # only compared here
+        keys = []
+        for f, n in value.pairs():
+            keys += [sort_key(f)] * n
+        keys.sort()
+        return (1, tuple(keys))
     return (2, sort_key(value))
 
 
@@ -569,10 +618,16 @@ def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY) -> list[d
     partition.  The result list is deterministically ordered.
 
     Matching runs in stages over partial matches (binding, unmatched
-    antecedent): the succedent, then each formula template, boxed context
-    and plain context of the conclusion in turn.  For a schema without
-    ``schema_problems`` the matcher is exact: every instantiation it returns
-    re-instantiates to ``s``, and it produces each one once.
+    antecedent): the succedent, then the rule's compiled template stages
+    (``RuleSchema.stages``), then each boxed context and plain context of
+    the conclusion in turn.  A closed template stage looks its one formula
+    up in the unmatched antecedent; an open one hands ``match_template``
+    only the formulas of its template's class (and, for a binary template,
+    of its left side's class).  The order of the stages cannot show: they
+    produce the same instances in any order, and two or more are sorted.
+    For a schema without ``schema_problems`` the matcher is exact: every
+    instantiation it returns re-instantiates to ``s``, and it produces each
+    one once.
     """
     pat = rule.conclusion
     base: dict = {}
@@ -591,9 +646,15 @@ def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY) -> list[d
 
     greedy = mode == GREEDY
     partial = [(base, s.antecedent)]
-    for t in rule.templates:
-        partial = [(nxt, rest.remove(f)) for inst, rest in partial for f in rest.distinct()
-                   if (nxt := match_template(t, f, inst)) is not None]
+    for t, lookup, cls, left in rule.stages:
+        if lookup is None:
+            partial = [(nxt, rest.remove(f)) for inst, rest in partial for f in rest.distinct()
+                       if (cls is None or type(f) is cls and (left is None or type(f.left) is left))
+                       and (nxt := match_template(t, f, inst)) is not None]
+        else:
+            partial = [(inst, rest.remove(f)) for inst, rest in partial
+                       if (f := lookup if isinstance(lookup, Formula) else inst[lookup]) in rest
+                       and (cls is None or type(f) is cls)]
     for cv in rule.boxed:
         every = not greedy or cv.name in rule.repeated  # every sub-multiset
         step = []

@@ -275,11 +275,22 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else EXIT_USAGE
-    try:
-        return args.handler(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:  # after help, or a usage error on stderr
+            code = e.code if isinstance(e.code, int) else EXIT_USAGE
+        else:
+            code = args.handler(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to the null device,
+        # so that the flush at interpreter exit has nothing to complain about
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        print("seqprove: error: standard output is closed", file=sys.stderr)
+        return EXIT_USAGE
     except (CliError, InvalidRulesError) as e:
         print(f"seqprove: error: {e}", file=sys.stderr)
         return EXIT_USAGE

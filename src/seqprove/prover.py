@@ -370,7 +370,19 @@ def strict_sensible_throughout(d: Derivation, calculus: Calculus) -> bool:
 def check_derivation(calculus: Calculus, d: Derivation) -> bool:
     """Independent validation: every node must be a correct instance of a rule
     of the calculus (premises re-instantiated and compared as multisets) and
-    leaves must be axiom instances."""
+    leaves must be axiom instances.  The nodes are checked in preorder from
+    an explicit stack, so a derivation of any depth gets a verdict."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if not _is_rule_instance(calculus, node):
+            return False
+        stack.extend(reversed(node.children))
+    return True
+
+
+def _is_rule_instance(calculus: Calculus, d: Derivation) -> bool:
+    """``d``'s conclusion and its children's conclusions instantiate one rule."""
     rule = calculus.rule(d.rule)
     if rule is None or len(d.children) != len(rule.premises):
         return False
@@ -381,15 +393,14 @@ def check_derivation(calculus: Calculus, d: Derivation) -> bool:
             if instantiate_pattern(rule.conclusion, inst) != d.conclusion:
                 return False
             return instantiate_premises(rule, inst) == child_concls
+        except RecursionError:
+            raise  # a limit of this interpreter, not a verdict on the tree
         except Exception:
             return False
 
-    ok = d.instantiation is not None and fits(d.instantiation)
-    if not ok:
-        ok = any(fits(inst) for inst in match_conclusion(rule, d.conclusion, EXHAUSTIVE))
-    if not ok:
-        return False
-    return all(check_derivation(calculus, c) for c in d.children)
+    if d.instantiation is not None and fits(d.instantiation):
+        return True
+    return any(fits(inst) for inst in match_conclusion(rule, d.conclusion, EXHAUSTIVE))
 
 
 # --- serialization ----------------------------------------------------------------

@@ -1,19 +1,23 @@
+import functools
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
 from seqprove.syntax import (
-    And, Atom, FMultiset, Imp, Modal, Sequent, parse_formula, parse_sequent, print_sequent,
+    And, Atom, FMultiset, Imp, Modal, Or, Sequent, parse_formula, parse_sequent,
+    print_formula, print_sequent,
 )
 from seqprove.calculus import (
     AVar, AXIOM, BoxedCtx, CtxVar, EXHAUSTIVE, FVar, GREEDY, InstantiationError,
     InvalidRulesError, Pattern, RuleSchema, build_g3ix, build_g4ix,
-    builtin_modal_rules, g3ip, g4ip, instantiate_pattern, instantiate_premises,
-    is_nonflat, is_right_modal, match_conclusion, schema_metavars,
+    builtin_modal_rules, format_instantiation, g3ip, g4ip, instantiate_pattern,
+    instantiate_premises, is_nonflat, is_right_modal, match_conclusion, schema_metavars,
     transform_right_modal, NonflatWarning,
 )
 from seqprove import calculus
-from seqprove.dsl import parse_rules
+from seqprove.dsl import parse_rules, template_text
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 B = builtin_modal_rules()
@@ -319,3 +323,115 @@ def test_compiled_rule_data_leaves_schema_identity_alone():
         assert repr(rule) == ("RuleSchema(name=%r, premises=%r, conclusion=%r, kind=%r, "
                               "provenance=%r)" % fields)
         assert rule.metavars == schema_metavars(rule)
+
+
+# --- compiled match stages ------------------------------------------------------
+
+with open(Path(__file__).resolve().parents[1] / "bench" / "data" / "kt.rules",
+          encoding="utf-8") as _fh:
+    KT_RULES, _errors = parse_rules(_fh.read())
+assert not _errors
+
+
+@functools.cache
+def _matcher_stream():
+    """Every builtin, generated, DSL, repeated-context and kt.rules rule, with
+    seeded sequents over formulas of every class and every class of
+    implication left side, plus sequents that repeat the boxes KG, DD and K1
+    need."""
+    modal = list(B.values()) + DSL_RULES + REPEATED_RULES + KT_RULES
+    rules = (g4ip().rules + (g3ip().rule("LImp"),) + tuple(modal)
+             + tuple(transform_right_modal(ru) for ru in modal if is_right_modal(ru)))
+    pool = [parse_formula(t) for t in (
+        "false", "p", "q", "p & q", "p | q", "p -> q", "q -> p", "false -> q",
+        "(p & q) -> r", "(p | q) -> r", "(p -> q) -> r", "[]p -> q", "[1]p -> q",
+        "[1]q -> p", "[]p", "[]q", "[][]p", "[1]p", "[1][]q", "[](p -> q)", "[1](p & q)")]
+    sequents = [parse_sequent(text) for text in (
+        "[]p, []p, []q =>", "[]p, []p, [][]p, [][]p, []q => q", "p, []p, q, []q => []r",
+        "[]p, [][]p => []r", "[1]p, [1]p, [1]q, [1][]q, [1]p -> q => [1]p",
+        "p, p, p -> q, p -> q => q", "false, false, p => q")]
+    rng = random.Random(31)
+    for _ in range(1500):
+        ante = FMultiset(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+        sequents.append(Sequent(ante, rng.choice(pool) if rng.random() < 0.85 else None))
+    return rules, sequents
+
+
+# sha256 of the format_instantiation lists of every (sequent, rule, mode) of
+# _matcher_stream, recorded with the matcher that tried every template
+# against every antecedent formula
+MATCHER_OUTPUT = "36de74368f826a2cc424b8ef8186c05110572b53129ff3878e2d437f0ad0fd3d"
+
+
+def test_matcher_output_is_pinned():
+    rules, sequents = _matcher_stream()
+    assert {"K_user", "T_user", "K_user->", "KG->", "K1->", "R_SL->"} <= {ru.name for ru in rules}
+    digest = hashlib.sha256()
+    instances = 0
+    for s in sequents:
+        for rule in rules:
+            for mode in (GREEDY, EXHAUSTIVE):
+                insts = match_conclusion(rule, s, mode)
+                instances += len(insts)
+                digest.update(("|".join(map(format_instantiation, insts)) + "\n").encode())
+    assert (instances, digest.hexdigest()) == (20_660, MATCHER_OUTPUT)
+
+
+def _stage_kinds(rule):
+    """(template text, closed) per stage, in stage order."""
+    return [(template_text(t), lookup is not None) for t, lookup, _, _ in rule.stages]
+
+
+def test_closed_stages_are_lookups():
+    ax, lpimp, lbot = (g4ip().rule(n) for n in ("Ax", "LpImp", "LBot"))
+    assert _stage_kinds(ax) == [("p", True)]  # the succedent binds p
+    assert _stage_kinds(lpimp) == [("p -> phi", False), ("p", True)]
+    assert lpimp.templates == (AVar("p"), Imp(AVar("p"), FVar("phi")))  # schema order
+    assert _stage_kinds(lbot) == [("false", True)]
+    (rule,), errors = parse_rules(
+        "rule W { premises: G, phi, psi => D ; conclusion: G, psi, phi, phi & psi => D }")
+    assert not errors
+    assert _stage_kinds(rule) == [("phi & psi", False), ("psi", True), ("phi", True)]
+    # a succedent template binds names too; an unbound bare name stays a scan
+    rules, errors = parse_rules("""
+rule V { premises: G, psi => phi ; conclusion: G, psi, phi => phi & psi }
+rule U { premises: G, chi => phi ; conclusion: G, chi, phi => phi }
+""")
+    assert not errors
+    assert _stage_kinds(rules[0]) == [("psi", True), ("phi", True)]
+    assert _stage_kinds(rules[1]) == [("chi", False), ("phi", True)]
+    # a closed atom stage still takes atoms only, which shows on a schema (with
+    # schema_problems) whose succedent binds the name as a formula
+    odd = RuleSchema("Odd", (), Pattern((CtxVar("G"), AVar("a")), FVar("a")), AXIOM)
+    assert _stage_kinds(odd) == [("a", True)]
+    assert match_conclusion(odd, parse_sequent("p & q => p & q")) == []
+    assert len(match_conclusion(odd, parse_sequent("p => p"))) == 1
+
+
+def test_open_stages_see_only_their_class(monkeypatch):
+    rules, sequents = _matcher_stream()
+    stage_templates: set = set()
+    seen = 0
+    real = calculus.match_template
+
+    def classes(t):
+        return Atom if type(t) is AVar else type(t)
+
+    def checked(t, f, inst):
+        nonlocal seen
+        if id(t) in stage_templates and type(t) is not FVar:
+            seen += 1
+            assert type(f) is classes(t), (template_text(t), print_formula(f))
+            if isinstance(t, (And, Or, Imp)) and type(t.left) is not FVar:
+                assert type(f.left) is classes(t.left), (template_text(t), print_formula(f))
+        return real(t, f, inst)
+
+    monkeypatch.setattr(calculus, "match_template", checked)
+    for rule in rules:
+        # open stages only, and not the succedent, which is matched unfiltered
+        stage_templates = {id(t) for t, lookup, _, _ in rule.stages if lookup is None}
+        stage_templates.discard(id(rule.conclusion.succedent))
+        for s in sequents:
+            for mode in (GREEDY, EXHAUSTIVE):
+                match_conclusion(rule, s, mode)
+    assert seen > 1000

@@ -107,6 +107,47 @@ def run_process(*argv, **env):
                           capture_output=True, timeout=120)
 
 
+def run_to_closed_pipe(argv, buffered: bool):
+    """Run ``python -m seqprove`` with stdout on a pipe whose read end is
+    already closed, so that the first write to it fails."""
+    src = os.path.dirname(os.path.dirname(seqprove.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run([sys.executable, "-m", "seqprove", *argv], env=env,
+                              stdout=write, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+
+
+CONJUNCTION = " & ".join(f"p{i}" for i in range(12))
+
+
+@pytest.mark.parametrize("argv, buffered", [
+    # a short verdict stays in the buffer until main flushes it
+    (["prove", "--calculus", "G4ip", "--sequent", "p, p -> q => q"], True),
+    (["prove", "--calculus", "G4ip", "--sequent", "p, p -> q => q"], False),
+    # JSON larger than a pipe's buffer fails inside print
+    (["prove", "--calculus", "G4ip", "--sequent", f"{CONJUNCTION} => {CONJUNCTION}",
+      "--emit", "json"], True),
+    # argparse writes the help text and exits; main flushes it all the same
+    (["prove", "--help"], True),
+], ids=["verdict-buffered", "verdict-unbuffered", "json-large", "help"])
+def test_closed_stdout_is_a_usage_error(capsys, argv, buffered):
+    if "json" in argv:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(out.encode()) > 8192
+    closed = run_to_closed_pipe(argv, buffered)
+    assert closed.returncode == 3
+    err = closed.stderr.decode()
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.splitlines() == ["seqprove: error: standard output is closed"]
+
+
 def test_prove_output_does_not_depend_on_hash_seed():
     # formula hashes mix class identity and string hashes, which differ from
     # process to process; nothing printed may follow hash order

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from seqprove import calculus
-from seqprove.syntax import Atom, parse_sequent, print_sequent
+from seqprove import calculus, prover
+from seqprove.syntax import And, Atom, FMultiset, Sequent, parse_sequent, print_sequent
 from seqprove.calculus import (
     EXHAUSTIVE, build_g3ix, build_g4ix, builtin_modal_rules, g3ip, g4ip,
 )
@@ -395,6 +395,42 @@ def test_deep_derivations_do_not_recurse():
         sys.setrecursionlimit(limit)
     assert len(lines) == 3_000
     assert lines[-1] == "  " * 2_999 + "p => p   [Ax]"
+
+
+def _land_chain(n: int, with_instantiations: bool, leaf_ps: int = 0) -> Derivation:
+    """The G3ip derivation of ``p & (p & (... & p)) => p`` (n conjunctions):
+    n LAnd steps ending in Ax, with ``leaf_ps`` p's at the leaf (n + 1 when 0)."""
+    def ps(k):
+        return FMultiset([p]).add(p, k - 1) if k else FMultiset()
+
+    leaf_ps = leaf_ps or n + 1
+    inst = {"G": ps(leaf_ps - 1), "p": p} if with_instantiations else None
+    d = Derivation(Sequent(ps(leaf_ps), p), "Ax", inst)
+    conj = p
+    for k in range(n - 1, -1, -1):  # the node whose antecedent is p^k, conj
+        inst = ({"G": ps(k), "phi": p, "psi": conj, "D": p}
+                if with_instantiations else None)
+        conj = And(p, conj)
+        d = Derivation(Sequent(ps(k).add(conj), p), "LAnd", inst, (d,))
+    return d
+
+
+@pytest.mark.parametrize("n", [7_000, 30_000])
+def test_check_derivation_accepts_deep_derivations(n):
+    # deeper than the recursion limit allows a recursive walk to go: the
+    # verdict must not depend on that limit
+    for with_instantiations in (True, False):
+        assert check_derivation(G3, _land_chain(n, with_instantiations))
+    short = _land_chain(n, False, leaf_ps=n)  # one p too few at the leaf
+    assert not check_derivation(G3, short)
+
+
+def test_check_derivation_does_not_turn_recursion_errors_into_verdicts(monkeypatch):
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(prover, "instantiate_pattern", too_deep)
+    with pytest.raises(RecursionError):
+        check_derivation(G3, _land_chain(3, True))
 
 
 def test_dict_round_trip_over_pinned_derivations():
