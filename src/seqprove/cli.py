@@ -41,6 +41,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 3, not argparse's default 2
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def print_help(self, file=None):
+        # argparse's own print_help swallows a failed write; a closed stdout
+        # must reach main's BrokenPipeError handler
+        (file or sys.stdout).write(self.format_help())
+
 
 def _load_modal_spec(spec: str):
     """A comma list of builtin modal rule names, or a path to a DSL file."""

@@ -4,9 +4,14 @@ The multiset order is the Dershowitz–Manna construction: a multiset gets
 smaller when one or more of its formulas are replaced by zero or more formulas
 of strictly lower weight.  A rule instance is terminating when every premise
 is below the conclusion in the induced sequent order; a rule schema is
-terminating when that holds for all instantiations, which is certified here by
-a sound symbolic criterion (never wrongly, possibly returning Unknown) and
-refuted by seeded random instantiation.
+terminating when that holds for all instantiations.  That is certified here
+premise by premise: cancel the items the premise and the conclusion share,
+then check that what is left of the conclusion dominates what is left of the
+premise (``_premise_certified``).  The certificate is sound, never wrongly
+Terminating, but conservative on contexts: ``premises: G, G => phi ;
+conclusion: P, box G => box phi`` decreases on every instance yet stays
+Unknown, since one ``box G`` only pays for one ``G``.  Seeded random
+instantiation looks for counterexamples.
 """
 
 from __future__ import annotations
@@ -22,49 +27,28 @@ from .calculus import (
 
 
 class WeightFunction:
-    """Weights on formulas: atoms and falsum weigh 1, everything else more.
-
-    Built-in weight functions are increment-based (the weight of a compound is
-    the sum of the children's weights plus a per-connective increment >= 1),
-    which is what makes symbolic schema checking possible.  A raw evaluator
-    can be wrapped with :meth:`from_callable`; it supports instance checks but
-    not symbolic certification.
-    """
+    """Weights on formulas: atoms and falsum weigh 1, and a compound weighs the
+    sum of its children's weights plus a per-connective increment >= 1.  The
+    weight of a template is then a linear polynomial in the weights of its
+    metavariables, which is what makes symbolic schema checking possible."""
 
     def __init__(self, name: str, and_inc: int = 2, or_inc: int = 1,
-                 imp_inc: int = 1, box_inc: int = 1, fn=None):
-        if fn is None:
-            for label, inc in (("and", and_inc), ("or", or_inc), ("imp", imp_inc), ("box", box_inc)):
-                if inc < 1:
-                    raise ValueError(f"{label} increment must be >= 1, got {inc}")
+                 imp_inc: int = 1, box_inc: int = 1):
+        for label, inc in (("and", and_inc), ("or", or_inc), ("imp", imp_inc), ("box", box_inc)):
+            if inc < 1:
+                raise ValueError(f"{label} increment must be >= 1, got {inc}")
         self.name = name
         self.and_inc = and_inc
         self.or_inc = or_inc
         self.imp_inc = imp_inc
         self.box_inc = box_inc
-        self._fn = fn
         self._cache: dict = {}
-
-    @classmethod
-    def from_callable(cls, name: str, fn) -> "WeightFunction":
-        return cls(name, fn=fn)
-
-    @property
-    def symbolic(self) -> bool:
-        return self._fn is None
 
     def weight(self, f: Formula) -> int:
         w = self._cache.get(f)
         if w is not None:
             return w
-        if self._fn is not None:
-            w = self._fn(f)
-            atomic = isinstance(f, (Atom, Bot))
-            if atomic and w != 1:
-                raise ValueError(f"weight function {self.name}: atoms and falsum must weigh 1")
-            if not atomic and w <= 1:
-                raise ValueError(f"weight function {self.name}: compound formulas must weigh above 1")
-        elif isinstance(f, (Atom, Bot)):
+        if isinstance(f, (Atom, Bot)):
             w = 1
         elif isinstance(f, And):
             w = self.weight(f.left) + self.weight(f.right) + self.and_inc
@@ -119,8 +103,10 @@ class SamplingConfig:
     samples: int = 400
     max_size: int = 3
     atoms: int = 2
-    max_context: int = 2
     seed: int = 0
+
+
+_MAX_CONTEXT = 2  # the most formulas a sampled context holds
 
 
 @dataclass(frozen=True)
@@ -149,48 +135,15 @@ class TerminationVerdict:
         return "UNKNOWN"
 
 
-def _ctx_occurrences(pattern: Pattern):
-    """Context-class occurrences of a pattern: (name, box index or None)."""
-    occs = []
-    for item in pattern.items:
-        if isinstance(item, CtxVar):
-            occs.append((item.name, None))
-        elif isinstance(item, BoxedCtx):
-            occs.append((item.name, item.index))
+def _items(pattern: Pattern) -> list:
+    """The items of a pattern and its succedent, a succedent metavariable
+    counting as a plain context of the same name."""
+    items = list(pattern.items)
     if isinstance(pattern.succedent, SuccVar):
-        occs.append((pattern.succedent.name, None))
-    return occs
-
-
-def _template_items(pattern: Pattern):
-    temps = [it for it in pattern.items if is_template(it)]
-    if pattern.succedent is not None and not isinstance(pattern.succedent, SuccVar):
-        temps.append(pattern.succedent)
-    return temps
-
-
-def _ctx_occurrences_ok(prem: Pattern, concl: Pattern) -> bool:
-    """Each premise context occurrence must consume a distinct conclusion
-    occurrence of the same variable: identical (same box index), or boxed
-    where the premise one is plain (stripping a box is weight-decreasing)."""
-    from collections import Counter
-
-    pc = Counter(_ctx_occurrences(prem))
-    cc = Counter(_ctx_occurrences(concl))
-    spare: dict = {}
-    for (name, idx), n in cc.items():
-        used = pc.get((name, idx), 0)
-        if idx is not None:
-            spare[name] = spare.get(name, 0) + max(0, n - used)
-    for (name, idx), n in pc.items():
-        if idx is not None:
-            if n > cc.get((name, idx), 0):
-                return False
-        else:
-            identical = cc.get((name, None), 0)
-            if n > identical + spare.get(name, 0):
-                return False
-    return True
+        items.append(CtxVar(pattern.succedent.name))
+    elif pattern.succedent is not None:
+        items.append(pattern.succedent)
+    return items
 
 
 def _wpoly(t, w: WeightFunction):
@@ -212,14 +165,13 @@ def _wpoly(t, w: WeightFunction):
     return coeffs, lk + rk + inc
 
 
-def _sym_less(t1, t2, w: WeightFunction) -> bool:
-    """True when the weight of t1 is below the weight of t2 under every
-    instantiation: compare the weight polynomials coefficient-wise (every
-    metavariable weight is at least 1)."""
-    c1, k1 = _wpoly(t1, w)
-    c2, k2 = _wpoly(t2, w)
+def _below(low, high) -> bool:
+    """True when weight polynomial ``low`` is below ``high`` under every
+    instantiation: compare them coefficient-wise (every metavariable weight
+    is at least 1)."""
+    (c1, k1), (c2, k2) = low, high
     total = k2 - k1  # value of the difference at the all-ones point
-    for name in set(c1) | set(c2):
+    for name in c1.keys() | c2.keys():
         d = c2.get(name, 0) - c1.get(name, 0)
         if d < 0:
             return False
@@ -229,31 +181,36 @@ def _sym_less(t1, t2, w: WeightFunction) -> bool:
     return total >= 1
 
 
-def _templates_ok(prem_ts: list, concl_ts: list, w: WeightFunction, i: int = 0,
-                  used: frozenset = frozenset(), deferred: tuple = ()) -> bool:
-    """Search a replacement plan for the concrete formulas: premise templates
-    either cancel against an identical conclusion template or must sit
-    symbolically below some replaced conclusion template; at least one
-    conclusion template must end up replaced (that guarantees the replaced set
-    is nonempty under every instantiation, including empty contexts).  The
-    search is at premise template ``i``, with the conclusion templates ``used``
-    already cancelled and the premise templates ``deferred``."""
-    if i == len(prem_ts):
-        replaced = [ct for j, ct in enumerate(concl_ts) if j not in used]
-        if not replaced:
-            return False
-        return all(any(_sym_less(pt, ct, w) for ct in replaced) for pt in deferred)
-    pt = prem_ts[i]
-    for j, ct in enumerate(concl_ts):
-        if j not in used and ct == pt:
-            if _templates_ok(prem_ts, concl_ts, w, i + 1, used | {j}, deferred):
-                return True
-    return _templates_ok(prem_ts, concl_ts, w, i + 1, used, deferred + (pt,))
-
-
 def _premise_certified(prem: Pattern, concl: Pattern, w: WeightFunction) -> bool:
-    return (_ctx_occurrences_ok(prem, concl)
-            and _templates_ok(_template_items(prem), _template_items(concl), w))
+    """Cancel identical items, which the multiset order ignores; then every
+    premise item left must be replaced by a conclusion item left: a template
+    by a template it is symbolically below, a plain context ``G`` by a
+    distinct ``box G`` (stripping a box lowers every weight).  At least one
+    conclusion template must be left, so that the replaced part is nonempty
+    under every instantiation, empty contexts included."""
+    left = _items(concl)
+    extra = []
+    for item in _items(prem):
+        if item in left:
+            left.remove(item)
+        else:
+            extra.append(item)
+    tops = [_wpoly(t, w) for t in left if is_template(t)]
+    if not tops:
+        return False
+    for item in extra:
+        if isinstance(item, CtxVar):
+            boxed = [b for b in left if isinstance(b, BoxedCtx) and b.name == item.name]
+            if not boxed:
+                return False
+            left.remove(boxed[0])
+        elif isinstance(item, BoxedCtx):
+            return False
+        else:
+            low = _wpoly(item, w)
+            if not any(_below(low, top) for top in tops):
+                return False
+    return True
 
 
 _SAMPLE_ATOMS = ("p", "q", "r", "s", "t", "u", "v", "w")
@@ -283,7 +240,7 @@ def _sample_instantiation(sorts: dict, rng: random.Random, cfg: SamplingConfig) 
         elif sort == "atom":
             inst[name] = Atom(_SAMPLE_ATOMS[rng.randrange(cfg.atoms)])
         elif sort == "context":
-            k = rng.randint(0, cfg.max_context)
+            k = rng.randint(0, _MAX_CONTEXT)
             inst[name] = FMultiset(
                 _random_formula(rng, rng.randint(1, cfg.max_size), cfg.atoms) for _ in range(k))
         else:  # succedent
@@ -300,9 +257,7 @@ def check_schema_termination(w: WeightFunction, rule: RuleSchema,
     all instantiations; otherwise hunt for a concrete counterexample with
     seeded random instantiations, and report Unknown when none shows up."""
     cfg = cfg or SamplingConfig()
-    if not rule.premises:
-        return TerminationVerdict("terminating")
-    if w.symbolic and all(_premise_certified(p, rule.conclusion, w) for p in rule.premises):
+    if all(_premise_certified(p, rule.conclusion, w) for p in rule.premises):
         return TerminationVerdict("terminating")
     rng = random.Random(f"{cfg.seed}:termination:{rule.name}")
     for _ in range(cfg.samples):

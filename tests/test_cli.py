@@ -136,7 +136,9 @@ CONJUNCTION = " & ".join(f"p{i}" for i in range(12))
       "--emit", "json"], True),
     # argparse writes the help text and exits; main flushes it all the same
     (["prove", "--help"], True),
-], ids=["verdict-buffered", "verdict-unbuffered", "json-large", "help"])
+    # unbuffered, the help text's write itself fails
+    (["prove", "--help"], False),
+], ids=["verdict-buffered", "verdict-unbuffered", "json-large", "help", "help-unbuffered"])
 def test_closed_stdout_is_a_usage_error(capsys, argv, buffered):
     if "json" in argv:
         code, out, _ = run(capsys, *argv)
@@ -282,6 +284,23 @@ def test_check_termination_weights_file(capsys, tmp_path):
     code, out, _ = run(capsys, "check-termination", "--rules", "R_K",
                        "--order", str(weights))
     assert code == 0 and "TERMINATING" in out
+
+
+def test_decreasing_rule_beyond_the_certificate_is_unknown(capsys, tmp_path):
+    # every instance of KK decreases (each box f of box G gives way to two
+    # copies of the lighter f), but the certificate lets a plain G use up only
+    # a box G of its own; sampling finds no counterexample, so KK is Unknown
+    rules = tmp_path / "kk.rules"
+    rules.write_text("rule KK { premises: G, G => phi ; conclusion: P, box G => box phi }\n")
+    code, out, _ = run(capsys, "check-termination", "--rules", str(rules))
+    assert (code, out) == (2, "KK: UNKNOWN\n")
+    code, out, err = run(capsys, "prove", "--calculus", f"G4i+{rules}", "--sequent",
+                         "[]p, []q => [](p & q)")
+    assert (code, out) == (0, "PROVABLE\n")
+    assert err.splitlines() == [
+        "warning: termination of rule KK could not be certified",
+        "warning: termination of rule KK-> could not be certified",
+    ]
 
 
 def test_equiv_test_small(capsys):
