@@ -9,9 +9,10 @@ templates over formula/atom metavariables, and its succedent is empty, a
 succedent metavariable, or a formula template.
 
 Each schema is compiled when it is built: its conclusion split into templates
-and contexts, the templates into match stages, its metavariables, and the
-principal shapes its conclusion requires.  ``Calculus.plan`` orders the rules for search and drops, per
-sequent, the rules whose shapes the sequent does not offer.
+and contexts, the templates into match stages, its metavariables, the
+principal shapes its conclusion requires, and the metavariables its premises
+pin for the proof checker.  ``Calculus.plan`` orders the rules for search and
+drops, per sequent, the rules whose shapes the sequent does not offer.
 """
 
 from __future__ import annotations
@@ -122,7 +123,11 @@ class RuleSchema:
     formulas of class ``cls`` and, for a binary template, whose left side
     has class ``left`` (None accepts any class).  A compound template whose
     metavariables are all bound stays open: a lookup would build, and so
-    intern, a formula the sequent may lack."""
+    intern, a formula the sequent may lack.
+
+    ``forced`` lists the metavariables that a premise pins exactly, which
+    a proof checker reads off a node's children and passes to
+    ``match_conclusion`` (see ``_forced``)."""
 
     name: str
     premises: tuple
@@ -137,6 +142,7 @@ class RuleSchema:
     metavars: dict = _compiled()       # schema_metavars(self)
     ante_shapes: frozenset = _compiled()  # shapes the antecedent must offer
     succ_shape: object = _compiled()   # shape the succedent must have, or None
+    forced: tuple = _compiled()        # _forced(self)
 
     def __post_init__(self):
         items, succ = self.conclusion.items, self.conclusion.succedent
@@ -159,6 +165,7 @@ class RuleSchema:
             "ante_shapes": frozenset(filter(None, map(_shape, templates))),
             "succ_shape": (None if succ is None or isinstance(succ, SuccVar)
                            else _shape(succ)),
+            "forced": _forced(self),
         }
         for name, value in compiled.items():
             object.__setattr__(self, name, value)
@@ -183,6 +190,27 @@ def _stages(templates: tuple, succ) -> tuple:
         stages.append((t, lookup, _class(t), left))
         bound |= names
     return tuple(stages)
+
+
+def _forced(rule: RuleSchema) -> tuple:
+    """The metavariables that a premise pins exactly, as (premise index,
+    name, sort).  A premise antecedent that is one plain context and nothing
+    else pins that context to the premise's antecedent; a premise succedent
+    that is a succedent or formula metavariable pins it to the premise's
+    succedent.  Only a name that the conclusion uses with the same sort is
+    pinned."""
+    sorts: dict = {}
+    for name, sort in pattern_vars(rule.conclusion):
+        sorts.setdefault(name, sort)
+    pins = []
+    for i, pat in enumerate(rule.premises):
+        if len(pat.items) == 1 and isinstance(pat.items[0], CtxVar):
+            pins.append((i, pat.items[0].name, "context"))
+        if isinstance(pat.succedent, SuccVar):
+            pins.append((i, pat.succedent.name, "succedent"))
+        elif isinstance(pat.succedent, FVar):
+            pins.append((i, pat.succedent.name, "formula"))
+    return tuple(pin for pin in pins if sorts.get(pin[1]) == pin[2])
 
 
 def _class(t):
@@ -606,7 +634,8 @@ def _inst_key(inst: dict):
     return tuple((name, _binding_key(v)) for name, v in sorted(inst.items()))
 
 
-def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY) -> list[dict]:
+def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY,
+                     forced: dict | None = None) -> list[dict]:
     """All instantiations of the rule's conclusion that produce exactly ``s``.
 
     Greedy mode binds each boxed context metavariable to the maximal multiset
@@ -628,14 +657,19 @@ def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY) -> list[d
     For a schema without ``schema_problems`` the matcher is exact: every
     instantiation it returns re-instantiates to ``s``, and it produces each
     one once.
+
+    ``forced`` binds some metavariables in advance (``check_derivation``
+    reads them off a node's children, see ``RuleSchema.forced``); only the
+    instantiations that agree with it are returned.
     """
     pat = rule.conclusion
-    base: dict = {}
+    base: dict = {} if forced is None else dict(forced)
     if pat.succedent is None:
         if s.succedent is not None:
             return []
     elif isinstance(pat.succedent, SuccVar):
-        base[pat.succedent.name] = s.succedent
+        if base.setdefault(pat.succedent.name, s.succedent) is not s.succedent:
+            return []  # formulas are interned: identity is equality
     else:
         if s.succedent is None:
             return []

@@ -19,7 +19,8 @@ from .calculus import (
 )
 from .dsl import parse_rules, print_rule
 from .orders import (
-    DYCKHOFF, SamplingConfig, WeightFunction, check_schema_termination, termination_guard,
+    _SAMPLE_ATOMS, DYCKHOFF, SamplingConfig, WeightFunction, check_schema_termination,
+    termination_guard,
 )
 from .prover import (
     SearchBudget, TerminationViolation, derivation_to_dict, dumps_indented,
@@ -45,6 +46,25 @@ class _Parser(argparse.ArgumentParser):
         # argparse's own print_help swallows a failed write; a closed stdout
         # must reach main's BrokenPipeError handler
         (file or sys.stdout).write(self.format_help())
+
+
+def _int_from(low: int, high: int | None = None):
+    """An argparse type: an integer of at least ``low``, and at most ``high``
+    if given.  A bad value is a usage error, caught before any work starts."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or (high is not None and value > high):
+            want = f">= {low}" if high is None else f"from {low} to {high}"
+            raise argparse.ArgumentTypeError(f"must be an integer {want}, not {text!r}")
+        return value
+    return parse
+
+
+_POSITIVE = _int_from(1)
+_NON_NEGATIVE = _int_from(0)
 
 
 def _load_modal_spec(spec: str):
@@ -238,8 +258,8 @@ def _build_parser() -> _Parser:
                    help="parse the goal as a sequent instead of a formula")
     p.add_argument("--emit", choices=("verdict", "text", "json"), default="verdict")
     p.add_argument("--match", choices=("greedy", "exhaustive"), default="greedy")
-    p.add_argument("--depth", type=int, default=120)
-    p.add_argument("--nodes", type=int, default=400_000)
+    p.add_argument("--depth", type=_POSITIVE, default=120)
+    p.add_argument("--nodes", type=_POSITIVE, default=400_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true",
                    help="run the g4 engine even if termination is not certified")
@@ -252,21 +272,21 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check-termination", help="check rules against a sequent order")
     p.add_argument("--rules", required=True)
     p.add_argument("--order", default="dyckhoff", help="dyckhoff or a weights file")
-    p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--size", type=int, default=3)
-    p.add_argument("--atoms", type=int, default=2)
+    p.add_argument("--samples", type=_NON_NEGATIVE, default=400)
+    p.add_argument("--size", type=_POSITIVE, default=3)
+    p.add_argument("--atoms", type=_int_from(1, len(_SAMPLE_ATOMS)), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_check_termination)
 
     p = sub.add_parser("equiv-test", help="cross-engine equivalence fuzzing")
     p.add_argument("--modal", default="", help="modal rule names or a DSL file")
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--size", type=int, default=10)
-    p.add_argument("--atoms", type=int, default=3)
+    p.add_argument("--count", type=_NON_NEGATIVE, default=200)
+    p.add_argument("--size", type=_POSITIVE, default=10)
+    p.add_argument("--atoms", type=_POSITIVE, default=3)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--modal-depth", type=int, default=2)
-    p.add_argument("--depth", type=int, default=80)
-    p.add_argument("--nodes", type=int, default=200_000)
+    p.add_argument("--modal-depth", type=_NON_NEGATIVE, default=2)
+    p.add_argument("--depth", type=_POSITIVE, default=80)
+    p.add_argument("--nodes", type=_POSITIVE, default=200_000)
     p.add_argument("--match", choices=("greedy", "exhaustive"), default="greedy")
     p.set_defaults(handler=cmd_equiv_test)
 

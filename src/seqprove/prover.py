@@ -25,6 +25,12 @@ comes from ``dumps_indented``, byte-identical to ``json.dumps(obj,
 indent=k)`` but without the stdlib's pure-Python encoder.  ``walk``,
 ``height`` and ``format_derivation`` use explicit stacks, so they work on
 derivations of any depth.
+
+``check_derivation`` checks a derivation independently of the search that
+made it.  A node without an instantiation, as every node read back from
+JSON is, is matched exhaustively, with the bindings that its children's
+conclusions force (``RuleSchema.forced``) given in advance: so a reloaded
+``R_K`` node costs one match, not one per sub-multiset of its boxes.
 """
 
 from __future__ import annotations
@@ -370,11 +376,20 @@ def strict_sensible_throughout(d: Derivation, calculus: Calculus) -> bool:
 def check_derivation(calculus: Calculus, d: Derivation) -> bool:
     """Independent validation: every node must be a correct instance of a rule
     of the calculus (premises re-instantiated and compared as multisets) and
-    leaves must be axiom instances.  The nodes are checked in preorder from
-    an explicit stack, so a derivation of any depth gets a verdict."""
+    leaves must be axiom instances.  A node is tried with its instantiation,
+    and otherwise with every exhaustive match of its conclusion that agrees
+    with the bindings its children force; each candidate is re-instantiated
+    and compared, so the verdict does not trust the matcher.  The nodes are
+    checked in preorder from an explicit stack, so a derivation of any depth
+    gets a verdict, and each distinct node object once, since the search
+    shares subtrees."""
+    seen = set()  # ids of the nodes checked
     stack = [d]
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if not _is_rule_instance(calculus, node):
             return False
         stack.extend(reversed(node.children))
@@ -400,7 +415,14 @@ def _is_rule_instance(calculus: Calculus, d: Derivation) -> bool:
 
     if d.instantiation is not None and fits(d.instantiation):
         return True
-    return any(fits(inst) for inst in match_conclusion(rule, d.conclusion, EXHAUSTIVE))
+    forced: dict = {}
+    for i, name, sort in rule.forced:
+        value = child_concls[i].antecedent if sort == "context" else child_concls[i].succedent
+        if value is None and sort == "formula":
+            return False  # a formula metavariable is never empty
+        if forced.setdefault(name, value) != value:
+            return False  # two premises pin one name to different values
+    return any(fits(inst) for inst in match_conclusion(rule, d.conclusion, EXHAUSTIVE, forced))
 
 
 # --- serialization ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from seqprove.calculus import (
     InvalidRulesError, Pattern, RuleSchema, build_g3ix, build_g4ix,
     builtin_modal_rules, format_instantiation, g3ip, g4ip, instantiate_pattern,
     instantiate_premises, is_nonflat, is_right_modal, match_conclusion, schema_metavars,
-    transform_right_modal, NonflatWarning,
+    SuccVar, transform_right_modal, NonflatWarning,
 )
 from seqprove import calculus
 from seqprove.dsl import parse_rules, template_text
@@ -185,6 +185,55 @@ def test_match_greedy_subset_of_exhaustive():
         greedy = {key(i) for i in match_conclusion(rule, s, GREEDY)}
         exhaustive = {key(i) for i in match_conclusion(rule, s, EXHAUSTIVE)}
         assert greedy <= exhaustive
+
+
+def test_forced_bindings_filter_the_exhaustive_match():
+    # binding any metavariables in advance leaves exactly the instances that
+    # agree with them, in the same order
+    rng = random.Random(29)
+    pool = [p, q, Modal(0, p), Modal(0, q), Modal(0, Modal(0, p)), Imp(Modal(0, p), q),
+            And(p, q), Imp(p, q), Imp(Imp(p, q), r)]
+    rules = list(g4ip().rules) + list(B.values()) + REPEATED_RULES + [
+        transform_right_modal(B["R_K"])]
+    checked = 0
+    for _ in range(1200):
+        ante = FMultiset(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+        succ = rng.choice(pool) if rng.random() < 0.85 else None
+        s = Sequent(ante, succ)
+        rule = rng.choice(rules)
+        every = match_conclusion(rule, s, EXHAUSTIVE)
+        assert match_conclusion(rule, s, EXHAUSTIVE, {}) == every
+        for inst in rng.sample(every, min(3, len(every))):
+            names = sorted(inst)
+            forced = {n: inst[n] for n in rng.sample(names, rng.randint(1, len(names)))}
+            if rng.random() < 0.3:  # one binding from another instance
+                other = rng.choice(every)
+                n = rng.choice(names)
+                forced[n] = other[n]
+            agree = [i for i in every if all(i[n] == v for n, v in forced.items())]
+            assert match_conclusion(rule, s, EXHAUSTIVE, forced) == agree
+            checked += 1
+    assert checked > 300
+    lbot = g4ip().rule("LBot")
+    s = parse_sequent("false => p")
+    assert match_conclusion(lbot, s, EXHAUSTIVE, {"D": q}) == []
+    assert match_conclusion(lbot, s, EXHAUSTIVE, {"D": p}) == match_conclusion(lbot, s)
+
+
+def test_rules_compile_the_bindings_their_premises_pin():
+    rules = {ru.name: ru for ru in build_g4ix([B["R_K"], B["R_D"]]).rules}
+    assert rules["R_K"].forced == ((0, "G", "context"), (0, "phi", "formula"))
+    assert rules["R_K->"].forced == ((0, "G", "context"), (0, "phi", "formula"),
+                                     (1, "D", "succedent"))
+    assert rules["RAnd"].forced == ((0, "G", "context"), (0, "phi", "formula"),
+                                    (1, "G", "context"), (1, "psi", "formula"))
+    assert rules["LImpImp"].forced == ((1, "D", "succedent"),)  # gamma, G => D
+    assert rules["R_D"].forced == ()  # G, phi => _
+    assert rules["Ax"].forced == ()
+    # a name the conclusion uses with another sort is not pinned
+    odd = RuleSchema("Odd", (Pattern((CtxVar("P"),), SuccVar("G")),),
+                     Pattern((CtxVar("P"), CtxVar("G")), q), "left")
+    assert odd.forced == ((0, "P", "context"),)
 
 
 # rules that name a context twice in their conclusion, or have two plain

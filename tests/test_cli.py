@@ -378,3 +378,44 @@ def test_equiv_test_exhaustive_match(capsys):
                        "--seed", "3", "--match", "exhaustive")
     assert code == 0
     assert json.loads(out.strip().splitlines()[-1])["disagree"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-termination", "--rules", "R_GL", "--atoms", "0"],
+    ["check-termination", "--rules", "R_GL", "--atoms", "9"],
+    ["check-termination", "--rules", "R_GL", "--size", "0"],
+    ["check-termination", "--rules", "R_GL", "--samples", "-1"],
+    ["equiv-test", "--size", "0"],
+    ["equiv-test", "--atoms", "0"],
+    ["equiv-test", "--modal-depth", "-1"],
+    ["equiv-test", "--count", "-1"],
+    ["equiv-test", "--depth", "0"],
+    ["equiv-test", "--nodes", "0"],
+    ["prove", "--nodes", "0", "p"],
+    ["prove", "--depth", "-1", "p"],
+    ["prove", "--depth", "x", "p"],
+], ids=" ".join)
+def test_bad_numeric_option_is_a_usage_error(capsys, argv):
+    # a bad value is refused by the parser, before any work: exit 1 or 2
+    # would read as a verdict, and a traceback is no answer at all
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    option = next(a for a in argv if a.startswith("--") and a != "--rules")
+    assert len(err.splitlines()) == 1
+    assert f": error: argument {option}: must be an integer" in err
+
+
+def test_numeric_options_accept_their_bounds(capsys):
+    for argv in (["check-termination", "--rules", "R_K", "--atoms", "8", "--samples", "0",
+                  "--size", "1"],
+                 ["check-termination", "--rules", "R_K", "--atoms", "1"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == "R_K: TERMINATING\n"
+    code, out, _ = run(capsys, "equiv-test", "--count", "0", "--size", "1", "--atoms", "1",
+                       "--modal-depth", "0", "--depth", "1", "--nodes", "1")
+    assert code == 0
+    code, out, _ = run(capsys, "prove", "--calculus", "G3ip", "--depth", "1", "--nodes", "1",
+                       "p -> p")
+    assert code == 2 and out == "UNKNOWN (budget-exhausted)\n"

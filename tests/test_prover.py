@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import random
+import signal
 import sys
 
 import pytest
@@ -19,6 +20,8 @@ from seqprove.prover import (
     is_sensible, is_strict, leftmost_length, prove_g3, prove_g4,
     strict_sensible_throughout, walk,
 )
+
+from oracles import is_rule_instance_unpinned
 
 B = builtin_modal_rules()
 G3, G4 = g3ip(), g4ip()
@@ -102,6 +105,142 @@ def test_check_derivation_rejects_bad_trees():
                              res.derivation.instantiation,
                              (Derivation(seq("q => q"), "Ax", None),))
     assert not check_derivation(G4, wrong_child)
+
+
+# --- the checker's forced bindings ---------------------------------------------
+
+@functools.cache
+def _fuzz_derivations() -> tuple:
+    """(calculus, derivation) for criterion 8's fuzz stream over the rule sets
+    of criterion 1: each derivation both engines find, and its reloaded copy,
+    which has no instantiations.  A few fixed sequents reach ``R_K->``."""
+    from seqprove.harness import FuzzConfig, gen_sequent
+    cfg = FuzzConfig(seed=808, count=0, max_size=9, atoms=3, max_modal_depth=2)
+    extra = [seq(t) for t in ("[]p, []p -> q => q", "[]p, []q, [](p & q) -> r => r | q",
+                              "[]p -> q, []p, [](p -> r) => q & []r")]
+    out = []
+    for names in ((), ("R_K",), ("R_K", "R_D"), ("R_T",)):
+        modal = [B[n] for n in names]
+        c4, c3 = build_g4ix(modal), build_g3ix(modal)
+        for s in [gen_sequent(cfg, i) for i in range(150)] + extra * bool(names):
+            for calc, engine in ((c4, prove_g4), (c3, prove_g3)):
+                res = engine(calc, s)
+                if res.is_provable:
+                    out.append((calc, res.derivation))
+                    out.append((calc, derivation_from_json(derivation_to_json(res.derivation))))
+    return tuple(out)
+
+
+def test_check_agrees_with_unpinned_oracle_on_fuzz_derivations():
+    rules = set()
+    for calc, d in _fuzz_derivations():
+        for node in walk(d):
+            assert prover._is_rule_instance(calc, node)
+            assert is_rule_instance_unpinned(calc, node)
+            rules.add(node.rule)
+    assert {"R_K", "R_K->", "R_D", "R_T", "RAnd", "LImp", "LImpImp"} <= rules
+
+
+_FRESH = Atom("fresh")
+
+
+def _mutants(calc, node):
+    """Broken copies of ``node``: a child conclusion with one formula dropped or
+    added, or its succedent dropped; the children swapped; the rule renamed."""
+    kids = node.children
+
+    def with_kid(i, concl):
+        k = kids[i]
+        return Derivation(node.conclusion, node.rule, node.instantiation,
+                          kids[:i] + (Derivation(concl, k.rule, None, k.children),) + kids[i + 1:])
+
+    for i, k in enumerate(kids):
+        ante, succ = k.conclusion.antecedent, k.conclusion.succedent
+        for f in ante.distinct():
+            yield with_kid(i, Sequent(ante.remove(f), succ))
+            yield with_kid(i, Sequent(ante.add(f), succ))
+        yield with_kid(i, Sequent(ante.add(_FRESH), succ))
+        if succ is not None:
+            yield with_kid(i, Sequent(ante, None))
+    if len(kids) > 1:
+        yield Derivation(node.conclusion, node.rule, node.instantiation, kids[::-1])
+    for r in calc.rules:
+        if r.name != node.rule and len(r.premises) == len(kids):
+            yield Derivation(node.conclusion, r.name, None, kids)
+
+
+def test_check_agrees_with_unpinned_oracle_on_mutated_nodes():
+    mutants = rejected = 0
+    for calc, d in _fuzz_derivations()[::2]:
+        for node in walk(d):
+            for m in _mutants(calc, node):
+                for bare in (m, Derivation(m.conclusion, m.rule, None, m.children)):
+                    verdict = prover._is_rule_instance(calc, bare)
+                    assert verdict == is_rule_instance_unpinned(calc, bare)
+                    rejected += not verdict
+                mutants += 1
+    assert mutants > 5000 and rejected > 0.9 * 2 * mutants
+
+
+def test_r_k_child_beyond_the_boxes_is_rejected():
+    # the child's antecedent must be a sub-multiset of the conclusion's bodies
+    for concl, kid in (("[]p => []p", "p, p => p"), ("[]p, q => []p", "p, q => p"),
+                       ("[]p, [][]q => []p", "p, q => p")):
+        d = Derivation(seq(concl), "R_K", None, (Derivation(seq(kid), "Ax", None),))
+        assert not is_rule_instance_unpinned(G4K, d)
+        assert not check_derivation(G4K, d)
+
+
+def test_reloaded_r_k_node_with_a_non_greedy_split():
+    # P keeps a boxed formula, which a greedy match would put in box G
+    for concl, kid in (("[]p, []q => []p", "p => p"), ("[]p, []p => []p", "p => p"),
+                       ("[]p, []q, q => []p", "p => p"), ("[]p, [][]p => []p", "p => p")):
+        d = Derivation(seq(concl), "R_K", None, (Derivation(seq(kid), "Ax", None),))
+        loaded = derivation_from_json(derivation_to_json(d))
+        assert check_derivation(G4K, loaded)
+        assert is_rule_instance_unpinned(G4K, loaded)
+
+
+def _expire(signum, frame):
+    raise TimeoutError
+
+
+def test_reloaded_r_k_node_over_24_boxes_checks_fast():
+    # an unpinned match would try all 2^24 sub-multisets of the boxes and
+    # hold them in memory: an alarm stops the check after 1 s instead
+    n = 24
+    boxes = ", ".join(f"[]p{i}" for i in range(n))
+    old = signal.signal(signal.SIGALRM, _expire)
+    try:
+        for kid in ("p0 => p0", ", ".join(f"p{i}" for i in range(n)) + " => p0"):
+            d = Derivation(seq(f"{boxes} => []p0"), "R_K", None,
+                           (Derivation(seq(kid), "Ax", None),))
+            loaded = derivation_from_json(derivation_to_json(d))
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            assert check_derivation(G4K, loaded)
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_check_derivation_checks_each_shared_node_once(monkeypatch):
+    checked = []
+    real = prover._is_rule_instance
+    monkeypatch.setattr(prover, "_is_rule_instance",
+                        lambda calc, node: checked.append(node) or real(calc, node))
+    leaf = Derivation(seq("p => p"), "Ax", None)
+    shared = Derivation(seq("p => p & p"), "RAnd", None, (leaf, leaf))
+    assert check_derivation(G3, Derivation(seq("p => (p & p) & (p & p)"), "RAnd", None,
+                                           (shared, shared)))
+    assert len(checked) == 3
+    bad = Derivation(seq("p => q"), "Ax", None)
+    assert not check_derivation(G3, Derivation(seq("p => q & q"), "RAnd", None, (bad, bad)))
+    # the search shares subtrees through its memo: verdicts do not change
+    for calc, d in _fuzz_derivations()[::2]:
+        checked.clear()
+        assert check_derivation(calc, d)
+        assert len(checked) == len({id(node) for node in walk(d)})
 
 
 def test_is_irreducible():
