@@ -290,16 +290,20 @@ def is_template(item) -> bool:
 
 
 def template_vars(t):
-    """Yield (name, sort) for every metavariable in a formula template."""
-    if isinstance(t, FVar):
-        yield t.name, "formula"
-    elif isinstance(t, AVar):
-        yield t.name, "atom"
-    elif isinstance(t, (And, Or, Imp)):
-        yield from template_vars(t.left)
-        yield from template_vars(t.right)
-    elif isinstance(t, Modal):
-        yield from template_vars(t.body)
+    """Yield (name, sort) for every metavariable in a formula template, from
+    left to right."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, FVar):
+            yield t.name, "formula"
+        elif isinstance(t, AVar):
+            yield t.name, "atom"
+        elif isinstance(t, (And, Or, Imp)):
+            todo.append(t.right)
+            todo.append(t.left)
+        elif isinstance(t, Modal):
+            todo.append(t.body)
 
 
 def template_has_connective(t) -> bool:

@@ -11,12 +11,18 @@ under ``box`` or ``box(i)``) or formula templates; the succedent is ``_``
 lowercase identifiers starting with phi/psi/gamma/chi are formula
 metavariables and every other lowercase identifier is an atom metavariable.
 ``#`` starts a comment.  Rule names may carry a trailing ``->`` so that
-generated implication rules round-trip.
+generated implication rules round-trip.  Templates are read and printed by
+the formula grammar of :mod:`seqprove.syntax`, spelled with ``box`` and
+``box(i)``.  A syntax error is a ``ParseError`` at an offset, which
+:func:`parse_rules` reports by line.
 """
 
 from __future__ import annotations
 
-from .syntax import And, Bot, Imp, Modal, Or
+import re
+from bisect import bisect_left
+
+from .syntax import And, Bot, Grammar, Imp, Or, ParseError
 from .calculus import (
     AXIOM, AVar, BoxedCtx, CtxVar, DslValidationError, FVar, OTHER_MODAL,
     Pattern, RIGHT_MODAL, RuleSchema, SuccVar, schema_problems,
@@ -26,63 +32,50 @@ _KEYWORDS = {"rule", "premises", "conclusion", "none", "box", "false"}
 _FVAR_PREFIXES = ("phi", "psi", "gamma", "chi")
 
 
-class _DslSyntaxError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(message)
-        self.message = message
-        self.line = line
+def _int_token(lexeme: str, at: int):
+    """The token of a lexeme that is neither a symbol nor a word: decimal
+    digits are an INT; anything else is an error."""
+    if not lexeme[0].isdecimal():
+        raise ParseError(f"unexpected character {lexeme[0]!r}", at)
+    return "INT", int(lexeme), at
 
 
-def _tokenize(text: str):
-    toks = []
-    i, n, line = 0, len(text), 1
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i:i + 2]
-        if two == "=>":
-            toks.append(("SEQARROW", None, line))
-            i += 2
-            continue
-        if two == "->":
-            toks.append(("ARROW", None, line))
-            i += 2
-            continue
-        if c in "{}:;,&|~()":
-            kind = {"{": "LBRACE", "}": "RBRACE", ":": "COLON", ";": "SEMI",
-                    ",": "COMMA", "&": "AMP", "|": "PIPE", "~": "TILDE",
-                    "(": "LPAR", ")": "RPAR"}[c]
-            toks.append((kind, None, line))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("INT", int(text[i:j]), line))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append(("KW" if word in _KEYWORDS else "IDENT", word, line))
-            i = j
-            continue
-        raise _DslSyntaxError(f"unexpected character {c!r}", line)
-    toks.append(("EOF", None, line))
-    return toks
+def _box_index(toks, i):
+    """The index of a box whose keyword ends before token ``i``: an optional
+    ``(INT)``.  Returns it with the index of the token after it."""
+    if toks[i][0] == "LPAR" and toks[i + 1][0] == "INT" and toks[i + 2][0] == "RPAR":
+        return toks[i + 1][1], i + 3
+    return 0, i
+
+
+def _template_operand(toks, i):
+    kind, value, at = toks[i]
+    if kind == "IDENT":
+        if value[0].isupper():
+            raise ParseError(f"context metavariable {value} used in formula position", at, i)
+        return (FVar(value) if value.startswith(_FVAR_PREFIXES) else AVar(value)), i + 1
+    if kind == "TILDE":
+        return -1, i + 1
+    if kind == "KW" and value == "box":
+        return _box_index(toks, i + 1)
+    if kind == "KW" and value == "false":
+        return Bot(), i + 1
+    return None, i
+
+
+def _box_prefix(index: int) -> str:
+    return "box" if index == 0 else f"box({index})"
+
+
+_TEMPLATE = Grammar(
+    r"\d+|[^\W\d]\w*|=>|->|\S", r"\s*(?:#.*\s*)*",
+    {"=>": "SEQARROW", "->": "ARROW", "{": "LBRACE", "}": "RBRACE", ":": "COLON",
+     ";": "SEMI", ",": "COMMA", "&": "AMP", "|": "PIPE", "~": "TILDE", "(": "LPAR",
+     ")": "RPAR"},
+    dict.fromkeys(_KEYWORDS, "KW"), _int_token,
+    _template_operand, "a formula template",
+    lambda index: _box_prefix(index) + " ", frozenset([FVar, AVar]),
+)
 
 
 class _RuleParser:
@@ -103,71 +96,20 @@ class _RuleParser:
         t = self.next()
         if t[0] != kind or (value is not None and t[1] != value):
             want = value or kind
-            raise _DslSyntaxError(f"expected {want}, found {t[1] or t[0]}", t[2])
+            raise ParseError(f"expected {want}, found {t[1] or t[0]}", t[2])
         return t
 
     def at_keyword(self, word: str) -> bool:
         t = self.peek()
         return t[0] == "KW" and t[1] == word
 
-    # -- templates ------------------------------------------------------
-
     def template(self):
-        left = self.t_disjunction()
-        if self.peek()[0] == "ARROW":
-            self.next()
-            return Imp(left, self.template())
-        return left
-
-    def t_disjunction(self):
-        f = self.t_conjunction()
-        while self.peek()[0] == "PIPE":
-            self.next()
-            f = Or(f, self.t_conjunction())
-        return f
-
-    def t_conjunction(self):
-        f = self.t_unary()
-        while self.peek()[0] == "AMP":
-            self.next()
-            f = And(f, self.t_unary())
-        return f
-
-    def _box_index(self) -> int:
-        # after "box": optional "(" INT ")"
-        if self.peek()[0] == "LPAR" and self.peek(1)[0] == "INT" and self.peek(2)[0] == "RPAR":
-            self.next()
-            idx = self.next()[1]
-            self.next()
-            return idx
-        return 0
-
-    def t_unary(self):
-        kind, value, line = self.peek()
-        if kind == "TILDE":
-            self.next()
-            return Imp(self.t_unary(), Bot())
-        if kind == "KW" and value == "box":
-            self.next()
-            idx = self._box_index()
-            return Modal(idx, self.t_unary())
-        if kind == "KW" and value == "false":
-            self.next()
-            return Bot()
-        if kind == "IDENT":
-            if value[0].isupper():
-                raise _DslSyntaxError(
-                    f"context metavariable {value} used in formula position", line)
-            self.next()
-            if value.startswith(_FVAR_PREFIXES):
-                return FVar(value)
-            return AVar(value)
-        if kind == "LPAR":
-            self.next()
-            f = self.template()
-            self.expect("RPAR")
-            return f
-        raise _DslSyntaxError(f"expected a formula template, found {value or kind}", line)
+        try:
+            t, self.pos = _TEMPLATE.parse(self.toks, self.pos)
+        except ParseError as e:
+            self.pos = e.stop  # recovery skips on from there
+            raise
+        return t
 
     # -- patterns -------------------------------------------------------
 
@@ -177,14 +119,12 @@ class _RuleParser:
             self.next()
             return CtxVar(value)
         if kind == "KW" and value == "box":
-            save = self.pos
-            self.next()
-            idx = self._box_index()
-            k2, v2, _ = self.peek()
+            idx, after = _box_index(self.toks, self.pos + 1)
+            k2, v2, _ = self.toks[after]
             if k2 == "IDENT" and v2 and v2[0].isupper():
-                self.next()
+                self.pos = after + 1
                 return BoxedCtx(v2, idx)
-            self.pos = save  # a template that merely starts with box
+            # a template that merely starts with box
         return self.template()
 
     def seqpat(self) -> Pattern:
@@ -248,29 +188,34 @@ def parse_rules(text: str):
     are reported in errors and omitted, valid ones are still returned."""
     rules: list[RuleSchema] = []
     errors: list[DslValidationError] = []
+    newlines = [m.start() for m in re.finditer("\n", text)]
+
+    def line(offset: int) -> int:
+        return bisect_left(newlines, offset) + 1
+
     try:
-        parser = _RuleParser(_tokenize(text))
-    except _DslSyntaxError as e:
-        return [], [DslValidationError(e.line, None, e.message)]
+        parser = _RuleParser(_TEMPLATE.tokens(text))
+    except ParseError as e:
+        return [], [DslValidationError(line(e.position), None, e.message)]
     while parser.peek()[0] != "EOF":
         if not parser.at_keyword("rule"):
             tok = parser.peek()
-            errors.append(DslValidationError(tok[2], None,
+            errors.append(DslValidationError(line(tok[2]), None,
                                              f"expected 'rule', found {tok[1] or tok[0]}"))
             parser.next()
             parser.skip_to_next_rule()
             continue
-        start_line = parser.peek()[2]
+        start = parser.peek()[2]
         try:
             rule = parser.rule_block()
-        except _DslSyntaxError as e:
-            errors.append(DslValidationError(e.line, None, e.message))
+        except ParseError as e:
+            errors.append(DslValidationError(line(e.position), None, e.message))
             parser.skip_to_next_rule()
             continue
         problems = schema_problems(rule)
         if problems:
             for msg in problems:
-                errors.append(DslValidationError(start_line, rule.name, msg))
+                errors.append(DslValidationError(line(start), rule.name, msg))
         else:
             rules.append(rule)
     return rules, errors
@@ -278,35 +223,8 @@ def parse_rules(text: str):
 
 # --- printing ---------------------------------------------------------------
 
-_PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4
-
-
-def _box_prefix(index: int) -> str:
-    return "box" if index == 0 else f"box({index})"
-
-
-def _ts(t, min_prec: int) -> str:
-    if isinstance(t, (FVar, AVar)):
-        return t.name
-    if isinstance(t, Bot):
-        return "false"
-    if isinstance(t, Imp) and isinstance(t.right, Bot):
-        return "~" + _ts(t.left, _PREC_UNARY)
-    if isinstance(t, Imp):
-        s, prec = _ts(t.left, _PREC_OR) + " -> " + _ts(t.right, _PREC_IMP), _PREC_IMP
-    elif isinstance(t, Or):
-        s, prec = _ts(t.left, _PREC_OR) + " | " + _ts(t.right, _PREC_AND), _PREC_OR
-    elif isinstance(t, And):
-        s, prec = _ts(t.left, _PREC_AND) + " & " + _ts(t.right, _PREC_UNARY), _PREC_AND
-    elif isinstance(t, Modal):
-        return _box_prefix(t.index) + " " + _ts(t.body, _PREC_UNARY)
-    else:
-        raise TypeError(f"not a template: {t!r}")
-    return "(" + s + ")" if prec < min_prec else s
-
-
 def template_text(t) -> str:
-    return _ts(t, _PREC_IMP)
+    return _TEMPLATE.text(t)
 
 
 def _item_text(item) -> str:

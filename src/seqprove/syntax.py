@@ -18,16 +18,20 @@ multiset or weighed alive.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
 class ParseError(Exception):
-    """Malformed formula or sequent text; ``position`` is a 0-based offset."""
+    """Malformed formula, sequent or rule text; ``position`` is a 0-based
+    offset.  A parser that recovers from errors resumes at token ``stop``,
+    the first one the failed parse did not consume."""
 
-    def __init__(self, message: str, position: int):
+    def __init__(self, message: str, position: int, stop: int | None = None):
         super().__init__(f"{message} (at offset {position})")
         self.message = message
         self.position = position
+        self.stop = stop
 
 
 # (class, *fields) -> the one node with that structure
@@ -192,7 +196,10 @@ class FMultiset:
         items = self._items
         if items is None:
             counts = self._counts
-            items = self._items = tuple((f, counts[f]) for f in sorted(counts, key=sort_key))
+            # one distinct formula needs no sort, nor so its sort key, which
+            # recurses once per operator
+            order = sorted(counts, key=sort_key) if len(counts) > 1 else counts
+            items = self._items = tuple((f, counts[f]) for f in order)
         return items
 
     def pairs(self):
@@ -314,118 +321,192 @@ def interpret(s: Sequent) -> Formula:
     return Imp(conj, succ)
 
 
-# --- parsing ---------------------------------------------------------------
+# --- one formula grammar ---------------------------------------------------
+#
+# Sequents and rule files write formulas in one language: "->" binds loosest
+# and is right-associative, then come "|" and "&", both left-associative,
+# then the prefix operators "~" and box.  The two syntaxes differ only in the
+# box's spelling, the leaves, and the names of tokens, which a Grammar holds.
+# Its parser and printer keep their pending work on explicit stacks, so no
+# nesting depth is too deep for them.
 
-def _tokenize(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "[":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "]":
-                idx = int(text[i + 1:j]) if j > i + 1 else 0
-                toks.append(("BOX", idx, i))
-                i = j + 1
+_BOT = Bot()
+_OPEN = (0,)  # an open parenthesis on the parser's stack
+_PREFIX = 4   # binding strength of "~" and box
+# class -> (binding strength, strength needed on the left, on the right, text)
+_INFIX = {Imp: (1, 2, 1, " -> "), Or: (2, 2, 3, " | "), And: (3, 3, 4, " & ")}
+
+
+class Grammar:
+    """One spelling of the formula language.
+
+    Scanning: ``lexemes`` is a regular expression for one lexeme and ``skip``
+    one for what may follow it (whitespace, comments).  A lexeme is a symbol
+    of ``symbols``, a word (a keyword of ``words``, else IDENT), or else
+    ``other(lexeme, offset)`` makes its token or raises.  A token is
+    ``(kind, value, position)``.  Parsing: ``operand(toks, i)`` reads the
+    leaf or prefix operator at token ``i`` and returns it with the index
+    after it: the leaf, -1 for ``~``, a box index, or None when no operand
+    starts there.  A parse error names an operand ``noun``.  Printing:
+    ``box(index)`` is a box prefix's text, and a leaf of a class in
+    ``leaves`` prints as its name.
+    """
+
+    def __init__(self, lexemes, skip, symbols, words, other, operand, noun, box, leaves):
+        self.scan = re.compile(f"({lexemes})({skip})")
+        self.skip = re.compile(skip)
+        self.symbols, self.words, self.other = symbols, words, other
+        self.operand, self.noun = operand, noun
+        self.box, self.leaves = box, leaves
+        # token kind -> (binding strength, lowest strength it closes, node)
+        self.binary = {symbols["->"]: (1, 2, Imp), symbols["|"]: (2, 2, Or),
+                       symbols["&"]: (3, 3, And)}
+
+    def tokens(self, text: str) -> list:
+        """The tokens of ``text`` with their offsets, ending in an EOF token.
+        Lexemes and skips alternate from the first skip to the end, so a
+        running sum of their lengths gives each offset."""
+        symbols, words, other = self.symbols, self.words, self.other
+        toks = []
+        at = self.skip.match(text).end()
+        for lexeme, skipped in self.scan.findall(text, at):
+            kind = symbols.get(lexeme)
+            if kind is not None:
+                toks.append((kind, None, at))
+            elif lexeme[0].isalpha() or lexeme[0] == "_":
+                toks.append((words.get(lexeme, "IDENT"), lexeme, at))
+            else:
+                toks.append(other(lexeme, at))
+            at += len(lexeme) + len(skipped)
+        toks.append(("EOF", None, len(text)))
+        return toks
+
+    def parse(self, toks: list, i: int):
+        """Parse the formula that starts at token ``i`` by precedence
+        climbing; return it and the index of the first token after it."""
+        operand, binary = self.operand, self.binary
+        stack = []  # open parentheses, prefix operators, (strength, node, left)
+        while True:
+            kind, value, at = toks[i]
+            if kind == "LPAR":
+                stack.append(_OPEN)
+                i += 1
                 continue
-            raise ParseError("unterminated modal prefix", i)
-        if text[i:i + 2] == "=>":
-            toks.append(("SEQARROW", None, i))
-            i += 2
-            continue
-        if text[i:i + 2] == "->":
-            toks.append(("ARROW", None, i))
-            i += 2
-            continue
-        if c in "&|~(),":
-            kind = {"&": "AND", "|": "OR", "~": "NOT", "(": "LPAR", ")": "RPAR", ",": "COMMA"}[c]
-            toks.append((kind, None, i))
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append(("FALSE" if word == "false" else "IDENT", word, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(("EOF", None, n))
-    return toks
+            f, i = operand(toks, i)
+            if f is None:  # a token only looked at is not consumed
+                raise ParseError(f"expected {self.noun}, found {value or kind}", at, i)
+            if f.__class__ is int:
+                stack.append((_PREFIX, f))
+                continue
+            # f is an operand: build what it closes until an operator follows
+            while True:
+                while stack and stack[-1][0] == _PREFIX:
+                    index = stack.pop()[1]
+                    f = Imp(f, _BOT) if index < 0 else Modal(index, f)
+                kind, value, at = toks[i]
+                op = binary.get(kind)
+                if op is not None:
+                    strength, lowest, node = op
+                    while stack and stack[-1][0] >= lowest:
+                        _, make, left = stack.pop()
+                        f = make(left, f)
+                    stack.append((strength, node, f))
+                    i += 1
+                    break
+                while stack and stack[-1][0]:
+                    _, make, left = stack.pop()
+                    f = make(left, f)
+                if not stack:
+                    return f, i
+                if kind != "RPAR":  # a token read in place of ")" is consumed
+                    stop = min(i + 1, len(toks) - 1)
+                    raise ParseError(f"expected RPAR, found {value or kind}", at, stop)
+                stack.pop()
+                i += 1
+
+    def text(self, f) -> str:
+        """Minimal-parentheses text of ``f``; inverse of :meth:`parse`."""
+        box, leaves = self.box, self.leaves
+        out = []
+        todo = []  # (text, then a formula or None, the strength it needs)
+        need = 1
+        while True:
+            while f is not None:  # down the left spine; right sides wait on todo
+                cls = f.__class__
+                if cls in leaves:
+                    out.append(f.name)
+                    break
+                op = _INFIX.get(cls)
+                if op is not None:
+                    if cls is Imp and f.right is _BOT:
+                        out.append("~")
+                        f, need = f.left, _PREFIX
+                        continue
+                    strength, left, right, sep = op
+                    if strength < need:
+                        out.append("(")
+                        todo.append((")", None, 0))
+                    todo.append((sep, f.right, right))
+                    f, need = f.left, left
+                elif cls is Modal:
+                    out.append(box(f.index))
+                    f, need = f.body, _PREFIX
+                elif cls is Bot:
+                    out.append("false")
+                    break
+                else:
+                    raise TypeError(f"not {self.noun}: {f!r}")
+            if not todo:
+                return "".join(out)
+            text, f, need = todo.pop()
+            out.append(text)
 
 
-class _FormulaParser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
+def _box_token(lexeme: str, at: int):
+    """The token of a lexeme that is neither a symbol nor a word: ``[INT]``
+    is a box; anything else is an error."""
+    if lexeme[0] != "[":
+        raise ParseError(f"unexpected character {lexeme[0]!r}", at)
+    if lexeme[-1] != "]":
+        raise ParseError("unterminated modal prefix", at)
+    return "BOX", int(lexeme[1:-1] or 0), at
 
-    def peek(self):
-        return self.toks[self.pos]
 
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+def _formula_operand(toks, i):
+    kind, value, _ = toks[i]
+    if kind == "IDENT":
+        return Atom(value), i + 1
+    if kind == "NOT":
+        return -1, i + 1
+    if kind == "BOX":
+        return value, i + 1
+    if kind == "FALSE":
+        return _BOT, i + 1
+    return None, i
 
-    def expect(self, kind):
-        t = self.next()
-        if t[0] != kind:
-            raise ParseError(f"expected {kind}, found {t[1] or t[0]}", t[2])
-        return t
 
-    def formula(self):
-        left = self.disjunction()
-        if self.peek()[0] == "ARROW":
-            self.next()
-            return Imp(left, self.formula())  # right associative
-        return left
+_FORMULA = Grammar(
+    r"[^\W\d]\w*|\[\d*\]?|=>|->|\S", r"\s*",
+    {"=>": "SEQARROW", "->": "ARROW", "&": "AND", "|": "OR", "~": "NOT",
+     "(": "LPAR", ")": "RPAR", ",": "COMMA"},
+    {"false": "FALSE"}, _box_token,
+    _formula_operand, "a formula",
+    lambda index: "[]" if index == 0 else f"[{index}]", frozenset([Atom]),
+)
 
-    def disjunction(self):
-        f = self.conjunction()
-        while self.peek()[0] == "OR":
-            self.next()
-            f = Or(f, self.conjunction())
-        return f
 
-    def conjunction(self):
-        f = self.unary()
-        while self.peek()[0] == "AND":
-            self.next()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self):
-        kind, value, pos = self.peek()
-        if kind == "NOT":
-            self.next()
-            return Imp(self.unary(), Bot())
-        if kind == "BOX":
-            self.next()
-            return Modal(value, self.unary())
-        if kind == "FALSE":
-            self.next()
-            return Bot()
-        if kind == "IDENT":
-            self.next()
-            return Atom(value)
-        if kind == "LPAR":
-            self.next()
-            f = self.formula()
-            self.expect("RPAR")
-            return f
-        raise ParseError(f"expected a formula, found {value or kind}", pos)
+def _expect(toks, i, kind) -> int:
+    """The index after token ``i``, which must be of ``kind``."""
+    t = toks[i]
+    if t[0] != kind:
+        raise ParseError(f"expected {kind}, found {t[1] or t[0]}", t[2])
+    return i + 1
 
 
 def parse_formula(text: str) -> Formula:
-    p = _FormulaParser(_tokenize(text))
-    f = p.formula()
-    p.expect("EOF")
+    toks = _FORMULA.tokens(text)
+    f, i = _FORMULA.parse(toks, 0)
+    _expect(toks, i, "EOF")
     return f
 
 
@@ -454,18 +535,19 @@ def parse_sequent(text: str, formulas: dict | None = None) -> Sequent:
                 pass
             else:
                 return Sequent(FMultiset(ante), succ)
-    p = _FormulaParser(_tokenize(text))
-    ante = []
-    if p.peek()[0] != "SEQARROW":
-        ante.append(p.formula())
-        while p.peek()[0] == "COMMA":
-            p.next()
-            ante.append(p.formula())
-    p.expect("SEQARROW")
+    toks = _FORMULA.tokens(text)
+    ante, i = [], 0
+    if toks[0][0] != "SEQARROW":
+        f, i = _FORMULA.parse(toks, 0)
+        ante.append(f)
+        while toks[i][0] == "COMMA":
+            f, i = _FORMULA.parse(toks, i + 1)
+            ante.append(f)
+    i = _expect(toks, i, "SEQARROW")
     succ = None
-    if p.peek()[0] != "EOF":
-        succ = p.formula()
-    p.expect("EOF")
+    if toks[i][0] != "EOF":
+        succ, i = _FORMULA.parse(toks, i)
+    _expect(toks, i, "EOF")
     return Sequent(FMultiset(ante), succ)
 
 
@@ -482,35 +564,9 @@ def _memo_formula(piece: str, formulas: dict) -> Formula:
 
 # --- printing --------------------------------------------------------------
 
-_PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4
-
-
-def _pf(f: Formula, min_prec: int) -> str:
-    if isinstance(f, Imp) and isinstance(f.right, Bot):
-        return "~" + _pf(f.left, _PREC_UNARY)
-    if isinstance(f, Imp):
-        s = _pf(f.left, _PREC_OR) + " -> " + _pf(f.right, _PREC_IMP)
-        prec = _PREC_IMP
-    elif isinstance(f, Or):
-        s = _pf(f.left, _PREC_OR) + " | " + _pf(f.right, _PREC_AND)
-        prec = _PREC_OR
-    elif isinstance(f, And):
-        s = _pf(f.left, _PREC_AND) + " & " + _pf(f.right, _PREC_UNARY)
-        prec = _PREC_AND
-    elif isinstance(f, Modal):
-        return ("[]" if f.index == 0 else f"[{f.index}]") + _pf(f.body, _PREC_UNARY)
-    elif isinstance(f, Atom):
-        return f.name
-    elif isinstance(f, Bot):
-        return "false"
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return "(" + s + ")" if prec < min_prec else s
-
-
 def print_formula(f: Formula) -> str:
     """Minimal-parentheses text; inverse of :func:`parse_formula`."""
-    return _pf(f, _PREC_IMP)
+    return _FORMULA.text(f)
 
 
 def print_sequent(s: Sequent, texts: dict | None = None) -> str:

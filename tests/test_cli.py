@@ -210,8 +210,10 @@ def test_greedy_match_splits_a_repeated_context(capsys, tmp_path, calc, rule, se
 
 
 def test_prove_deep_nesting_is_an_input_error(capsys):
-    # the parser recurses once per prefix operator; past the recursion limit
-    # the answer is an input error, not a traceback with UNPROVABLE's exit code
+    # the sequent parses, but the decrease check's weight
+    # (orders.WeightFunction.weight) recurses once per operator; past the
+    # recursion limit the answer is an input error, not a traceback with
+    # UNPROVABLE's exit code
     deep = run_process("prove", "--calculus", "G4ip", "--sequent", "~" * 30000 + "p => p")
     assert deep.returncode == 3
     assert b"Traceback" not in deep.stderr
@@ -219,6 +221,35 @@ def test_prove_deep_nesting_is_an_input_error(capsys):
     assert deep.stdout == b""
     code, out, _ = run(capsys, "prove", "--calculus", "G4ip", "--sequent", "~" * 2000 + "p => p")
     assert (code, out) == (1, "UNPROVABLE\n")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("prove", "[\u00b2]p"), None),
+    (("rules-parse",), "rule Two { premises: G => phi ; conclusion: P, box(\u00b2) G => box phi }\n"),
+])
+def test_non_decimal_box_index_is_an_input_error(tmp_path, argv, text):
+    if text is not None:
+        f = tmp_path / "sup.rules"
+        f.write_text(text, encoding="utf-8")
+        argv = (*argv, str(f))
+    run = run_process(*argv)
+    assert run.returncode == 3
+    assert b"Traceback" not in run.stderr
+    assert len(run.stderr.decode().splitlines()) == 1
+    assert run.stdout == b""
+
+
+def test_rules_parse_deep_nesting(capsys, tmp_path):
+    f = tmp_path / "deep.rules"
+    f.write_text("rule Deep { premises: G => phi ; conclusion: G => " + "~" * 30000 + "phi }\n")
+    code, out, err = run(capsys, "rules-parse", str(f))
+    assert (code, err) == (0, "")
+    rules, errors = parse_rules(f.read_text())
+    again, errors_again = parse_rules(out)
+    assert not errors and not errors_again
+    assert [r.name for r in rules] == ["Deep"]
+    assert [(r.name, r.premises, r.conclusion) for r in again] == \
+        [(r.name, r.premises, r.conclusion) for r in rules]
 
 
 def test_prove_refuses_nonterminating_g4(capsys):

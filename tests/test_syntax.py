@@ -37,6 +37,24 @@ def test_parse_modal_indices():
     assert parse_formula("[2][2]p") == Modal(2, Modal(2, p))
 
 
+def test_box_index_is_decimal_digits():
+    assert parse_formula("[\u0661]p") == Modal(1, p)  # ARABIC-INDIC DIGIT ONE
+    with pytest.raises(ParseError) as e:
+        parse_formula("[\u00b2]p")  # SUPERSCRIPT TWO: a digit, not a decimal
+    assert (e.value.message, e.value.position) == ("unterminated modal prefix", 0)
+
+
+def test_deep_nesting_parses_and_prints():
+    text = "~" * 30000 + "p => p"
+    s = parse_sequent(text)
+    assert print_sequent(s) == text
+    assert parse_sequent(print_sequent(s)) == s
+    f = s.succedent
+    for _ in range(30000):
+        f = Modal(2, f)
+    assert parse_formula(print_formula(f)) is f
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as e:
         parse_formula("p -> ")
