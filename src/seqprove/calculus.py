@@ -10,9 +10,10 @@ succedent metavariable, or a formula template.
 
 Each schema is compiled when it is built: its conclusion split into templates
 and contexts, the templates into match stages, its metavariables, the
-principal shapes its conclusion requires, and the metavariables its premises
-pin for the proof checker.  ``Calculus.plan`` orders the rules for search and
-drops, per sequent, the rules whose shapes the sequent does not offer.
+principal classes its conclusion requires (``shapes``), and the metavariables
+its premises pin for the proof checker.  ``Calculus.plan`` orders the rules
+for search once; at a node the search tries only the rules whose ``shapes``
+the node's sequent ``offered``.
 """
 
 from __future__ import annotations
@@ -140,8 +141,7 @@ class RuleSchema:
     plains: tuple = _compiled()        # CtxVar items, the one taking the rest last
     repeated: frozenset = _compiled()  # context names used more than once
     metavars: dict = _compiled()       # schema_metavars(self)
-    ante_shapes: frozenset = _compiled()  # shapes the antecedent must offer
-    succ_shape: object = _compiled()   # shape the succedent must have, or None
+    shapes: frozenset = _compiled()    # the classes a sequent must offer (offered)
     forced: tuple = _compiled()        # _forced(self)
 
     def __post_init__(self):
@@ -155,6 +155,7 @@ class RuleSchema:
         once = [i for i, it in enumerate(plains) if it.name not in repeated]
         if once:
             plains.append(plains.pop(once[-1]))
+        succ_cls = None if succ is None or isinstance(succ, SuccVar) else _class(succ)
         compiled = {
             "templates": templates,
             "stages": _stages(templates, succ),
@@ -162,9 +163,8 @@ class RuleSchema:
             "plains": tuple(plains),
             "repeated": repeated,
             "metavars": schema_metavars(self),
-            "ante_shapes": frozenset(filter(None, map(_shape, templates))),
-            "succ_shape": (None if succ is None or isinstance(succ, SuccVar)
-                           else _shape(succ)),
+            "shapes": frozenset(filter(None, (*map(_class, templates),
+                                             succ_cls and ("=>", succ_cls)))),
             "forced": _forced(self),
         }
         for name, value in compiled.items():
@@ -219,48 +219,18 @@ def _class(t):
     return None if cls is FVar else Atom if cls is AVar else cls
 
 
-# --- principal shapes -------------------------------------------------------
-#
-# A shape is a formula's principal connective: its class, with the box index
-# for Modal.  A rule can match a sequent only if the sequent offers every
-# shape the rule's conclusion templates require, so search skips the other
-# rules without matching them.
-
-def _shape(f):
-    """The shape of formula or template ``f``: Atom for an atom
-    metavariable, and None (no requirement) for a formula metavariable."""
-    cls = type(f)
-    if cls is Modal:
-        return Modal, f.index
-    if cls is FVar:
-        return None
-    return Atom if cls is AVar else cls
+def offered(s: Sequent) -> set:
+    """The principal classes sequent ``s`` offers: the class of each distinct
+    antecedent formula, and its succedent's marked ``("=>", class)``.  A rule
+    whose ``shapes`` are not all offered cannot match ``s``."""
+    shapes = set(map(type, s.antecedent.distinct()))
+    if s.succedent is not None:
+        shapes.add(("=>", type(s.succedent)))
+    return shapes
 
 
 # Invertible rules, in the order search commits to them.
 _SAFE_ORDER = ("LAnd", "LOr", "RAnd", "RImp", "LpImp", "LAndImp", "LOrImp")
-
-
-@dataclass(frozen=True, eq=False)
-class SearchPlan:
-    """A calculus's rules in search order: the axioms, the invertible rules in
-    commit order, then the branching rules in calculus order."""
-
-    axioms: tuple
-    safe: tuple
-    branching: tuple
-
-    def at(self, s: Sequent) -> "SearchPlan":
-        """This plan without the rules whose required shapes ``s`` lacks, for
-        which ``match_conclusion`` could only return []."""
-        ante = set(map(_shape, s.antecedent.distinct()))
-        succ = None if s.succedent is None else _shape(s.succedent)
-
-        def keep(rules):
-            return tuple(r for r in rules if r.ante_shapes <= ante
-                         and (r.succ_shape is None or r.succ_shape == succ))
-
-        return SearchPlan(keep(self.axioms), keep(self.safe), keep(self.branching))
 
 
 @dataclass(frozen=True)
@@ -276,13 +246,14 @@ class Calculus:
         return None
 
     @cached_property
-    def plan(self) -> SearchPlan:
-        """The search plan, built on first use and kept with the calculus."""
+    def plan(self) -> tuple:
+        """The rules in search order, built on first use and kept with the
+        calculus: (axioms, invertible rules in commit order, branching rules
+        in calculus order)."""
         by_name = {r.name: r for r in self.rules}
-        return SearchPlan(
-            tuple(r for r in self.rules if not r.premises),
-            tuple(by_name[n] for n in _SAFE_ORDER if n in by_name),
-            tuple(r for r in self.rules if r.premises and r.name not in _SAFE_ORDER))
+        return (tuple(r for r in self.rules if not r.premises),
+                tuple(by_name[n] for n in _SAFE_ORDER if n in by_name),
+                tuple(r for r in self.rules if r.premises and r.name not in _SAFE_ORDER))
 
 
 def is_template(item) -> bool:

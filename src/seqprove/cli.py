@@ -67,13 +67,24 @@ _POSITIVE = _int_from(1)
 _NON_NEGATIVE = _int_from(0)
 
 
+def _read_text(path: str) -> str:
+    """The text of the UTF-8 file ``path``.  A file that cannot be opened or
+    decoded, a directory included, is an input error, not a traceback."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise CliError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: not UTF-8 text ({e})") from None
+
+
 def _load_modal_spec(spec: str):
     """A comma list of builtin modal rule names, or a path to a DSL file."""
     if not spec:
         return []
     if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            rules, errors = parse_rules(fh.read())
+        rules, errors = parse_rules(_read_text(spec))
         if errors:
             raise CliError("invalid rule file:\n" + "\n".join(str(e) for e in errors))
         return rules
@@ -108,20 +119,19 @@ def _load_weights(spec: str) -> WeightFunction:
     if not os.path.exists(spec):
         raise CliError(f"weights file not found: {spec}")
     incs = {"and": 2, "or": 1, "imp": 1, "box": 1}
-    with open(spec, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"weights file line {lineno}: expected key=value")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key not in incs:
-                raise CliError(f"weights file line {lineno}: unknown key {key!r}")
-            try:
-                incs[key] = int(value)
-            except ValueError:
-                raise CliError(f"weights file line {lineno}: {value!r} is not an integer")
+    for lineno, raw in enumerate(_read_text(spec).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"weights file line {lineno}: expected key=value")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in incs:
+            raise CliError(f"weights file line {lineno}: unknown key {key!r}")
+        try:
+            incs[key] = int(value)
+        except ValueError:
+            raise CliError(f"weights file line {lineno}: {value!r} is not an integer")
     try:
         return WeightFunction(os.path.basename(spec), incs["and"], incs["or"],
                               incs["imp"], incs["box"])
@@ -228,12 +238,7 @@ def cmd_equiv_test(args) -> int:
 
 
 def cmd_rules_parse(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise CliError(str(e))
-    rules, errors = parse_rules(text)
+    rules, errors = parse_rules(_read_text(args.file))
     for r in rules:
         print(f"# {r.name}: {r.kind}, {len(r.premises)} premise(s)")
         print(print_rule(r))

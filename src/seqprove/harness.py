@@ -97,9 +97,6 @@ class Report:
         total = max(1, s["count"])
         return s["indefinite"] / total < max_indefinite_frac
 
-    def failures(self) -> list:
-        return [c for c in self.cases if c.flag == "disagree"]
-
 
 # --- generation ---------------------------------------------------------------
 

@@ -12,8 +12,10 @@ sequents to sensible, strict roots.
 
 The strategy is the same for all: close by axioms, then commit to the first
 applicable invertible rule, then branch over the remaining rule instances in
-deterministic order.  At each node the search tries only the rules of
-``Calculus.plan`` whose principal shapes the node's sequent offers.
+deterministic order.  The rules come from the static ``Calculus.plan``, and
+at each node the search tries only those whose principal classes
+(``RuleSchema.shapes``) the node's sequent offers (``offered``); the
+branching rules are tested only at a node that gets that far.
 
 Derivations serialize as nested ``{"sequent", "rule", "children"}`` dicts.
 A node's sequent shares most formulas with its parent's, so
@@ -43,7 +45,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .syntax import And, Atom, Bot, Imp, Modal, Or, Sequent, parse_sequent, print_sequent
 from .calculus import (
     AXIOM, EXHAUSTIVE, GREEDY, Calculus, instantiate_pattern, instantiate_premises,
-    instantiate_template, is_right_modal, match_conclusion,
+    instantiate_template, is_right_modal, match_conclusion, offered,
 )
 from .orders import DYCKHOFF, WeightFunction, sequent_less
 
@@ -205,7 +207,7 @@ def _search(calculus: Calculus, goal: Sequent, match_mode: str,
     searches stack many of them, and larger frames make CPython allocate and
     free stack chunks under the matcher's calls more often.
     """
-    plan = calculus.plan
+    axioms, safe, branching = calculus.plan
     max_depth, max_nodes = (budget.max_depth, budget.max_nodes) if budget else (_INF, _INF)
     memo: dict = {}  # (sequent, restriction) -> derivation, or None if it failed
     hist: dict = {}
@@ -222,10 +224,9 @@ def _search(calculus: Calculus, goal: Sequent, match_mode: str,
             return d, _INF, 0
         if depth >= max_depth:
             return None, _INF, _DIRTY
-        pool = plan.at(s)
-        for rule in pool.axioms:
-            insts = match_conclusion(rule, s, match_mode)
-            if insts:
+        shapes = offered(s)
+        for rule in axioms:
+            if rule.shapes <= shapes and (insts := match_conclusion(rule, s, match_mode)):
                 d = Derivation(s, rule.name, insts[0])
                 if memoize:
                     memo[key] = d
@@ -233,22 +234,21 @@ def _search(calculus: Calculus, goal: Sequent, match_mode: str,
         committed = None  # the one instance of an invertible rule, if any
         irreducible = False
         if restrict == _AX_OR_RIGHT_MODAL:
-            pool = tuple(r for r in pool.branching if is_right_modal(r))
+            pool = tuple(r for r in branching if is_right_modal(r))
         elif constrained and is_irreducible(s):
             # the constrained space is not known to be closed under
             # inversion, so branch over everything at irreducible nodes
             irreducible = True
-            pool = pool.safe + pool.branching
+            pool = safe + branching
         else:
             # invertible rules decrease the Dyckhoff order, so they cannot
             # loop: commit to the first applicable instance with no check
-            for rule in pool.safe:
-                insts = match_conclusion(rule, s, match_mode)
-                if insts:
+            for rule in safe:
+                if rule.shapes <= shapes and (insts := match_conclusion(rule, s, match_mode)):
                     pool, committed = (rule,), insts[:1]
                     break
             else:
-                pool = pool.branching
+                pool = branching
         # loop check at branching nodes only: the support projection hides
         # multiplicity progress made by the invertible rules
         lkey = None
@@ -259,6 +259,8 @@ def _search(calculus: Calculus, goal: Sequent, match_mode: str,
             hist[lkey] = depth
         hit, flags = _INF, 0
         for rule in pool:
+            if not rule.shapes <= shapes:
+                continue  # match_conclusion could only return []
             ub = user_on_branch or rule.provenance == "user"
             for inst in committed or match_conclusion(rule, s, match_mode):
                 restrict = _NO_RESTRICT  # of the first premise

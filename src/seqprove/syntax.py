@@ -191,6 +191,15 @@ class FMultiset:
             counts[f] = counts.get(f, 0) + 1
         return _from_counts(counts)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle would assign the slots
+        return _from_counts, (dict(self._counts),)
+
     def items(self):
         """Pairs (formula, multiplicity) in canonical order."""
         items = self._items
@@ -199,7 +208,8 @@ class FMultiset:
             # one distinct formula needs no sort, nor so its sort key, which
             # recurses once per operator
             order = sorted(counts, key=sort_key) if len(counts) > 1 else counts
-            items = self._items = tuple((f, counts[f]) for f in order)
+            items = tuple((f, counts[f]) for f in order)
+            _SET_ITEMS(self, items)
         return items
 
     def pairs(self):
@@ -237,7 +247,8 @@ class FMultiset:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = self._hash = hash(frozenset(self._counts.items()))
+            h = hash(frozenset(self._counts.items()))
+            _SET_HASH(self, h)
         return h
 
     def __repr__(self) -> str:
@@ -283,14 +294,19 @@ class FMultiset:
         return all(theirs.get(f, 0) >= n for f, n in self._counts.items())
 
 
+# the slots' own setters, which FMultiset.__setattr__ does not reach
+_SET_COUNTS, _SET_ITEMS, _SET_SIZE, _SET_HASH = (
+    getattr(FMultiset, name).__set__ for name in FMultiset.__slots__)
+
+
 def _from_counts(counts: dict) -> FMultiset:
     """The multiset with multiplicities ``counts`` (all positive).  It keeps
     ``counts`` itself, so the caller must not change the dict afterwards."""
     ms = object.__new__(FMultiset)
-    ms._counts = counts
-    ms._items = None
-    ms._size = sum(counts.values())
-    ms._hash = None
+    _SET_COUNTS(ms, counts)
+    _SET_ITEMS(ms, None)
+    _SET_SIZE(ms, sum(counts.values()))
+    _SET_HASH(ms, None)
     return ms
 
 

@@ -13,7 +13,8 @@ from seqprove.calculus import (
     AVar, AXIOM, BoxedCtx, CtxVar, EXHAUSTIVE, FVar, GREEDY, InstantiationError,
     InvalidRulesError, Pattern, RuleSchema, build_g3ix, build_g4ix,
     builtin_modal_rules, format_instantiation, g3ip, g4ip, instantiate_pattern,
-    instantiate_premises, is_nonflat, is_right_modal, match_conclusion, schema_metavars,
+    instantiate_premises, is_nonflat, is_right_modal, match_conclusion, offered,
+    schema_metavars,
     SuccVar, transform_right_modal, NonflatWarning,
 )
 from seqprove import calculus
@@ -321,8 +322,9 @@ def test_generated_rules_deduplicated():
         assert len(generated) == 1  # structurally equal transforms collapse
 
 
-# box(1) rules written in the DSL: their templates need shapes no builtin rule
-# needs, and K1 makes build_g4ix generate K1->, which concludes box(1) phi -> psi
+# box(1) rules written in the DSL: a shape is a class and records no box
+# index, so these are tried wherever a box is offered and the matcher refuses
+# the index; K1 makes build_g4ix generate K1->, which concludes box(1) phi -> psi
 DSL_RULES, _errors = parse_rules("""
 rule M1 { premises: G, phi, psi => p ; conclusion: G, box(1) phi, box(1) chi -> psi => p }
 rule K1 { premises: G => phi ; conclusion: P, box(1) G => box(1) phi }
@@ -331,9 +333,9 @@ assert not _errors
 
 
 def test_plan_skips_only_rules_that_cannot_match():
-    # a pool with every principal shape: falsum, atoms, &, |, ->, and boxes of
-    # index 0 and 1; implications have each class of left side, so the plan
-    # also keeps rules that then do not match
+    # a pool with every principal class: falsum, atoms, &, |, ->, and boxes of
+    # index 0 and 1; implications have each class of left side, so the search
+    # also tries rules that then do not match
     pool = [parse_formula(t) for t in (
         "false", "p", "q", "p & q", "p | q", "p -> q", "false -> q", "(p & q) -> r",
         "(p | q) -> r", "(p -> q) -> r", "[]p -> q", "[1]p -> q", "[]p", "[1]q",
@@ -341,20 +343,24 @@ def test_plan_skips_only_rules_that_cannot_match():
     modal = list(B.values()) + DSL_RULES
     calculi = [build_g3ix(modal), build_g4ix(modal)]
     assert {"M1", "K1", "K1->"} <= {ru.name for ru in calculi[1].rules}
+    for calc in calculi:
+        axioms, safe, branching = calc.plan
+        assert sorted(map(id, axioms + safe + branching)) == sorted(map(id, calc.rules))
+        # order kept: axioms and branching rules in calculus order, the
+        # invertible rules in commit order
+        assert [ru for ru in calc.rules if ru in axioms] == list(axioms)
+        assert [ru for ru in calc.rules if ru in branching] == list(branching)
+        assert [ru.name for ru in safe] == [
+            n for n in calculus._SAFE_ORDER if calc.rule(n) is not None]
     rng = random.Random(29)
     skipped = kept_and_matched = 0
     for _ in range(300):
         ante = FMultiset(rng.choice(pool) for _ in range(rng.randint(0, 3)))
         s = Sequent(ante, rng.choice(pool) if rng.random() < 0.85 else None)
+        shapes = offered(s)
         for calc in calculi:
-            plan = calc.plan
-            full = plan.axioms + plan.safe + plan.branching
-            assert sorted(map(id, full)) == sorted(map(id, calc.rules))
-            node = plan.at(s)
-            kept = node.axioms + node.safe + node.branching
-            assert [ru for ru in full if ru in kept] == list(kept)  # order kept
             for rule in calc.rules:
-                if any(rule is k for k in kept):
+                if rule.shapes <= shapes:
                     kept_and_matched += bool(match_conclusion(rule, s, GREEDY))
                     continue
                 skipped += 1

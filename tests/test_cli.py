@@ -383,6 +383,28 @@ def test_rules_parse_errors(capsys, tmp_path):
     assert "psi" in err
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (("prove", "--calculus", "G4i+{}", "p"), "dir"),
+    (("equiv-test", "--count", "1", "--modal", "{}"), "dir"),
+    (("check-termination", "--rules", "R_K", "--order", "{}"), "dir"),
+    (("prove", "--calculus", "G4i+{}", "p"), "latin-1"),
+    (("rules-parse", "{}"), "latin-1"),
+    (("check-termination", "--rules", "R_K", "--order", "{}"), "latin-1"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_unreadable_input_file_is_an_input_error(capsys, tmp_path, argv, kind):
+    # a directory, or a file that is not UTF-8, is an input error: exit 1
+    # would read as UNPROVABLE, and a traceback is no answer at all
+    path = tmp_path / kind
+    if kind == "dir":
+        path.mkdir()
+    else:
+        path.write_bytes("# caf\u00e9\nand = 2\n".encode("latin-1"))
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert (code, out) == (3, "")
+    assert err.startswith("seqprove: error: ") and len(err.splitlines()) == 1
+    assert str(path) in err
+
+
 def test_unknown_calculus(capsys):
     code, _, err = run(capsys, "prove", "--calculus", "G5ip", "p")
     assert code >= 3

@@ -281,6 +281,20 @@ def test_unordered_views_are_read_only():
     assert ms == FMultiset([p, p, Imp(p, q), Modal(0, r)]) and q not in ms
 
 
+def test_multiset_fields_cannot_be_assigned():
+    ms = FMultiset([p, p, Imp(p, q)])
+    key, order = hash(ms), ms.items()
+    for name in ("_counts", "_items", "_size", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(ms, name, {q: 1})
+        with pytest.raises(AttributeError):
+            delattr(ms, name)
+    assert ms == FMultiset([Imp(p, q), p, p]) and len(ms) == 3 and q not in ms
+    assert hash(ms) == key and ms.items() == order
+    for again in (copy.copy(ms), copy.deepcopy(ms), pickle.loads(pickle.dumps(ms))):
+        assert again == ms and hash(again) == key and again.items() == order
+
+
 def test_formulas_hash_by_identity():
     f = parse_formula("[](p -> q) & r")
     assert type(f).__hash__ is object.__hash__
