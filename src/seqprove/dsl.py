@@ -52,7 +52,7 @@ def _template_operand(toks, i):
     kind, value, at = toks[i]
     if kind == "IDENT":
         if value[0].isupper():
-            raise ParseError(f"context metavariable {value} used in formula position", at, i)
+            raise ParseError(f"context metavariable {value} used in formula position", at)
         return (FVar(value) if value.startswith(_FVAR_PREFIXES) else AVar(value)), i + 1
     if kind == "TILDE":
         return -1, i + 1
@@ -79,16 +79,19 @@ _TEMPLATE = Grammar(
 
 
 class _RuleParser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
+    """Parses one block: the tokens from ``start`` up to the token ``end``
+    after it (the next block's ``rule`` keyword, or EOF), which it reads but
+    never consumes."""
 
-    def peek(self, ahead: int = 0):
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def __init__(self, toks, start: int, end: int):
+        self.toks, self.pos, self.end = toks, start, end
+
+    def peek(self):
+        return self.toks[self.pos]
 
     def next(self):
         t = self.toks[self.pos]
-        if t[0] != "EOF":
+        if self.pos < self.end:
             self.pos += 1
         return t
 
@@ -104,11 +107,8 @@ class _RuleParser:
         return t[0] == "KW" and t[1] == word
 
     def template(self):
-        try:
-            t, self.pos = _TEMPLATE.parse(self.toks, self.pos)
-        except ParseError as e:
-            self.pos = e.stop  # recovery skips on from there
-            raise
+        # the grammar stops at the end token: it is neither operand nor operator
+        t, self.pos = _TEMPLATE.parse(self.toks, self.pos)
         return t
 
     # -- patterns -------------------------------------------------------
@@ -178,10 +178,6 @@ class _RuleParser:
             kind = OTHER_MODAL
         return RuleSchema(name, tuple(premises), conclusion, kind, provenance="user")
 
-    def skip_to_next_rule(self):
-        while self.peek()[0] != "EOF" and not self.at_keyword("rule"):
-            self.next()
-
 
 def parse_rules(text: str):
     """Parse a rule file.  Returns (rules, errors); rules that fail validation
@@ -193,31 +189,35 @@ def parse_rules(text: str):
     def line(offset: int) -> int:
         return bisect_left(newlines, offset) + 1
 
+    def stray(tok):
+        errors.append(DslValidationError(line(tok[2]), None,
+                                         f"expected 'rule', found {tok[1] or tok[0]}"))
+
     try:
-        parser = _RuleParser(_TEMPLATE.tokens(text))
+        toks = _TEMPLATE.tokens(text)
     except ParseError as e:
         return [], [DslValidationError(line(e.position), None, e.message)]
-    while parser.peek()[0] != "EOF":
-        if not parser.at_keyword("rule"):
-            tok = parser.peek()
-            errors.append(DslValidationError(line(tok[2]), None,
-                                             f"expected 'rule', found {tok[1] or tok[0]}"))
-            parser.next()
-            parser.skip_to_next_rule()
-            continue
-        start = parser.peek()[2]
+    # every 'rule' keyword starts a block, so an error in one block cannot
+    # hide the next
+    starts = [i for i, (kind, value, _) in enumerate(toks) if kind == "KW" and value == "rule"]
+    ends = starts[1:] + [len(toks) - 1]
+    if (starts[0] if starts else len(toks) - 1) > 0:  # tokens before the first block
+        stray(toks[0])
+    for start, end in zip(starts, ends):
+        parser = _RuleParser(toks, start, end)
         try:
             rule = parser.rule_block()
         except ParseError as e:
             errors.append(DslValidationError(line(e.position), None, e.message))
-            parser.skip_to_next_rule()
             continue
         problems = schema_problems(rule)
         if problems:
             for msg in problems:
-                errors.append(DslValidationError(line(start), rule.name, msg))
+                errors.append(DslValidationError(line(toks[start][2]), rule.name, msg))
         else:
             rules.append(rule)
+        if parser.pos < end:
+            stray(parser.peek())
     return rules, errors
 
 

@@ -4,14 +4,20 @@ rule invertibility, and strict/sensible witness search.
 
 Every suite is a deterministic function of its FuzzConfig: all randomness runs
 through string-seeded generators keyed by (seed, stream tag, case index).
+A suite whose cases must satisfy a hypothesis (a provable sequent, a provable
+conclusion shape) draws them through the one rejection-sampling driver
+:func:`_accepted`, and every suite records its cases through
+:meth:`Report.add`, which numbers them per kind and flags them agree,
+disagree or indefinite.
 """
 
 from __future__ import annotations
 
 import random
-import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .syntax import (
     And, Atom, Bot, FMultiset, Formula, Imp, Modal, Or, Sequent, print_sequent,
@@ -53,7 +59,6 @@ class CaseRecord:
     input_text: str
     detail: str
     flag: str  # "agree" | "disagree" | "indefinite"
-    millis: float = 0.0
 
     def line(self) -> str:
         fields = [str(self.index)]
@@ -68,18 +73,25 @@ class Report:
     title: str
     target: int
     cases: list = field(default_factory=list)
+    _added: dict = field(default_factory=dict, init=False, repr=False)  # kind -> count
+
+    def add(self, kind: str, input_text: str, detail: str, ok) -> None:
+        """Record the next case of ``kind``: ``ok`` True, False or None flags
+        it agree, disagree or indefinite."""
+        index = self._added.get(kind, 0)
+        self._added[kind] = index + 1
+        flag = "indefinite" if ok is None else "agree" if ok else "disagree"
+        self.cases.append(CaseRecord(index, kind, input_text, detail, flag))
 
     @property
     def summary(self) -> dict:
-        agree = sum(1 for c in self.cases if c.flag == "agree")
-        disagree = sum(1 for c in self.cases if c.flag == "disagree")
-        indefinite = sum(1 for c in self.cases if c.flag == "indefinite")
+        flags = Counter(c.flag for c in self.cases)
         return {
             "title": self.title,
             "count": len(self.cases),
-            "agree": agree,
-            "disagree": disagree,
-            "indefinite": indefinite,
+            "agree": flags["agree"],
+            "disagree": flags["disagree"],
+            "indefinite": flags["indefinite"],
             "shortfall": max(0, self.target - len(self.cases)),
         }
 
@@ -90,12 +102,12 @@ class Report:
         import json
         return json.dumps(self.summary)
 
-    def passed(self, max_indefinite_frac: float = 0.05) -> bool:
+    def passed(self) -> bool:
+        """No disagreement, no shortfall, and under 5% indefinite cases."""
         s = self.summary
         if s["disagree"] > 0 or s["shortfall"] > 0:
             return False
-        total = max(1, s["count"])
-        return s["indefinite"] / total < max_indefinite_frac
+        return s["indefinite"] / max(1, s["count"]) < 0.05
 
 
 # --- generation ---------------------------------------------------------------
@@ -157,6 +169,14 @@ def _gen_candidate(cfg: FuzzConfig, index: int, tag: str) -> Sequent:
     return Sequent(FMultiset(ante), _biased_succedent(cfg, rng, ante))
 
 
+def _accepted(cfg: FuzzConfig, make):
+    """Rejection sampling: the first ``cfg.count`` cases that ``make(i)``
+    returns for i = 0, 1, ... (None rejects ``i``), trying at most
+    ``10 * cfg.count`` indices and none after the last case is found."""
+    cases = map(make, range(10 * cfg.count))
+    return islice((case for case in cases if case is not None), cfg.count)
+
+
 def _resolve_modal(cfg: FuzzConfig, modal) -> list:
     if modal is not None:
         return list(modal)
@@ -191,34 +211,14 @@ def equivalence_fuzz(cfg: FuzzConfig, modal=None, match_mode: str = "greedy") ->
     report = Report(f"equivalence {c3.name} vs {c4.name}", cfg.count)
     for i in range(cfg.count):
         s = gen_sequent(cfg, i)
-        t0 = time.perf_counter()
         r4 = prove_g4(c4, s, match_mode=match_mode)
         r3 = prove_g3(c3, s, cfg.budget, match_mode=match_mode)
-        millis = (time.perf_counter() - t0) * 1000.0
-        if not r3.is_definite:
-            flag = "indefinite"
-        elif r3.status == r4.status:
-            flag = "agree"
-        else:
-            flag = "disagree"
-        report.cases.append(CaseRecord(i, "equivalence", print_sequent(s),
-                                       f"{r3.status}\t{r4.status}", flag, millis))
+        report.add("equivalence", print_sequent(s), f"{r3.status}\t{r4.status}",
+                   r3.status == r4.status if r3.is_definite else None)
     return report
 
 
 # --- admissibility ---------------------------------------------------------------
-
-def _sample_provable(calculus: Calculus, cfg: FuzzConfig, tag: str) -> list:
-    out = []
-    cap = 10 * cfg.count
-    for i in range(cap):
-        if len(out) >= cfg.count:
-            break
-        s = _gen_candidate(cfg, i, tag)
-        if prove_g4(calculus, s).is_provable:
-            out.append(s)
-    return out
-
 
 def admissibility_suite(calculus: Calculus, cfg: FuzzConfig) -> Report:
     """Weakening, contraction and cut checks on sampled provable sequents of a
@@ -227,49 +227,41 @@ def admissibility_suite(calculus: Calculus, cfg: FuzzConfig) -> Report:
     if calculus.style != "G4":
         raise ValueError("admissibility_suite expects a G4-style calculus")
     report = Report(f"admissibility {calculus.name}", 3 * cfg.count)
-    cap = 10 * cfg.count
+
+    def provable(s: Sequent) -> bool:
+        return prove_g4(calculus, s).is_provable
 
     # weakening: both displayed rules, on every sampled provable sequent
-    pool = _sample_provable(calculus, cfg, "adm-sample")
-    for j, s in enumerate(pool):
-        t0 = time.perf_counter()
+    def sample(i):
+        s = _gen_candidate(cfg, i, "adm-sample")
+        return s if provable(s) else None
+
+    for j, s in enumerate(_accepted(cfg, sample)):
         extra = gen_formula(cfg, j, tag="adm-wk")
-        ok = prove_g4(calculus, Sequent(s.antecedent.add(extra), s.succedent)).is_provable
+        ok = provable(Sequent(s.antecedent.add(extra), s.succedent))
         detail = "antecedent"
         if ok and s.succedent is None:
-            ok = prove_g4(calculus, Sequent(s.antecedent, extra)).is_provable
+            ok = provable(Sequent(s.antecedent, extra))
             detail = "antecedent+succedent"
-        report.cases.append(CaseRecord(j, "weakening", print_sequent(s), detail,
-                                       "agree" if ok else "disagree",
-                                       (time.perf_counter() - t0) * 1000.0))
+        report.add("weakening", print_sequent(s), detail, ok)
 
     # contraction: sample provable sequents with a duplicated antecedent formula
-    done = 0
-    for i in range(cap):
-        if done >= cfg.count:
-            break
+    def contraction(i):
         s = _gen_candidate(cfg, i, "adm-ctr")
         if not s.antecedent:
-            continue
+            return None
         rng = random.Random(f"{cfg.seed}:adm-ctr-pick:{i}")
-        f = rng.choice(s.antecedent.support())
-        doubled = Sequent(s.antecedent.add(f), s.succedent)
-        if not prove_g4(calculus, doubled).is_provable:
-            continue
-        t0 = time.perf_counter()
-        contracted = prove_g4(calculus, s).is_provable
-        report.cases.append(CaseRecord(done, "contraction", print_sequent(doubled),
-                                       print_sequent(s),
-                                       "agree" if contracted else "disagree",
-                                       (time.perf_counter() - t0) * 1000.0))
-        done += 1
+        doubled = Sequent(s.antecedent.add(rng.choice(s.antecedent.support())), s.succedent)
+        if not provable(doubled):
+            return None
+        return print_sequent(doubled), print_sequent(s), provable(s)
+
+    for case in _accepted(cfg, contraction):
+        report.add("contraction", *case)
 
     # cut: both hypotheses established by sampling; the cut formula comes from
     # the subformula pool of the left context plus small generated formulas
-    done = 0
-    for i in range(cap):
-        if done >= cfg.count:
-            break
+    def cut(i):
         rng = random.Random(f"{cfg.seed}:adm-cut:{i}")
         gamma1 = [_rng_formula(cfg, rng) for _ in range(rng.randint(0, 2))]
         r = rng.random()
@@ -282,20 +274,17 @@ def admissibility_suite(calculus: Calculus, cfg: FuzzConfig) -> Report:
             cut_formula = _pick(rng, sorted(pool, key=sort_key))
         else:
             cut_formula = _rng_formula(cfg, rng, max_size=4)
-        if not prove_g4(calculus, Sequent(FMultiset(gamma1), cut_formula)).is_provable:
-            continue
+        if not provable(Sequent(FMultiset(gamma1), cut_formula)):
+            return None
         gamma2 = [_rng_formula(cfg, rng) for _ in range(rng.randint(0, 2))]
         delta = _biased_succedent(cfg, rng, gamma2 + [cut_formula])
-        if not prove_g4(calculus, Sequent(FMultiset(gamma2).add(cut_formula), delta)).is_provable:
-            continue
-        t0 = time.perf_counter()
+        if not provable(Sequent(FMultiset(gamma2).add(cut_formula), delta)):
+            return None
         concl = Sequent(FMultiset(gamma1 + gamma2), delta)
-        ok = prove_g4(calculus, concl).is_provable
-        detail = f"cut on {cut_formula}"
-        report.cases.append(CaseRecord(done, "cut", print_sequent(concl), detail,
-                                       "agree" if ok else "disagree",
-                                       (time.perf_counter() - t0) * 1000.0))
-        done += 1
+        return print_sequent(concl), f"cut on {cut_formula}", provable(concl)
+
+    for case in _accepted(cfg, cut):
+        report.add("cut", *case)
     return report
 
 
@@ -307,10 +296,6 @@ def invertibility_suite(modal, cfg: FuzzConfig) -> Report:
     and require every premise provable."""
     calculus = build_g3ix(modal)
     report = Report(f"invertibility {calculus.name}", 6 * cfg.count)
-    cap = 10 * cfg.count
-
-    def contexts(rng):
-        return FMultiset(_rng_formula(cfg, rng) for _ in range(rng.randint(0, 2)))
 
     def component(rng, gamma):
         # biased toward context subformulas so the conclusion shape is
@@ -320,22 +305,19 @@ def invertibility_suite(modal, cfg: FuzzConfig) -> Report:
             return _pick(rng, sorted(subformulas(base), key=sort_key))
         return _rng_formula(cfg, rng)
 
-    def biased_delta(rng, ante: FMultiset):
-        return _biased_succedent(cfg, rng, list(ante))
-
     def shapes(name, rng):
-        gamma = contexts(rng)
+        gamma = FMultiset(_rng_formula(cfg, rng) for _ in range(rng.randint(0, 2)))
         phi = component(rng, gamma)
         psi = component(rng, gamma)
         if name == "RAnd":
             return Sequent(gamma, And(phi, psi)), [Sequent(gamma, phi), Sequent(gamma, psi)]
         if name == "LAnd":
             ante = gamma.add(And(phi, psi))
-            delta = biased_delta(rng, ante)
+            delta = _biased_succedent(cfg, rng, list(ante))
             return Sequent(ante, delta), [Sequent(gamma.add(phi).add(psi), delta)]
         if name == "LOr":
             ante = gamma.add(Or(phi, psi))
-            delta = biased_delta(rng, ante)
+            delta = _biased_succedent(cfg, rng, list(ante))
             return (Sequent(ante, delta),
                     [Sequent(gamma.add(phi), delta), Sequent(gamma.add(psi), delta)])
         if name == "RImp":
@@ -343,34 +325,25 @@ def invertibility_suite(modal, cfg: FuzzConfig) -> Report:
         if name == "LpImp":
             p = _atom(rng.randrange(cfg.atoms))
             ante = gamma.add(p).add(Imp(p, phi))
-            delta = biased_delta(rng, ante)
+            delta = _biased_succedent(cfg, rng, list(ante))
             return Sequent(ante, delta), [Sequent(gamma.add(p).add(phi), delta)]
         # Implication Inversion
         ante = gamma.add(Imp(phi, psi))
-        delta = biased_delta(rng, ante)
+        delta = _biased_succedent(cfg, rng, list(ante))
         return Sequent(ante, delta), [Sequent(gamma.add(psi), delta)]
 
+    def inversion(name, i):
+        concl, premises = shapes(name, random.Random(f"{cfg.seed}:inv-{name}:{i}"))
+        if not prove_g3(calculus, concl, cfg.budget).is_provable:
+            return None
+        verdicts = [prove_g3(calculus, p, cfg.budget) for p in premises]
+        ok = (all(v.is_provable for v in verdicts)
+              if all(v.is_definite for v in verdicts) else None)
+        return print_sequent(concl), "; ".join(print_sequent(p) for p in premises), ok
+
     for name in ("RAnd", "LAnd", "LOr", "RImp", "LpImp", "ImpInv"):
-        done = 0
-        for i in range(cap):
-            if done >= cfg.count:
-                break
-            rng = random.Random(f"{cfg.seed}:inv-{name}:{i}")
-            concl, premises = shapes(name, rng)
-            if not prove_g3(calculus, concl, cfg.budget).is_provable:
-                continue
-            t0 = time.perf_counter()
-            verdicts = [prove_g3(calculus, p, cfg.budget) for p in premises]
-            if any(not v.is_definite for v in verdicts):
-                flag = "indefinite"
-            elif all(v.is_provable for v in verdicts):
-                flag = "agree"
-            else:
-                flag = "disagree"
-            report.cases.append(CaseRecord(done, name, print_sequent(concl),
-                                           "; ".join(print_sequent(p) for p in premises),
-                                           flag, (time.perf_counter() - t0) * 1000.0))
-            done += 1
+        for case in _accepted(cfg, lambda i: inversion(name, i)):
+            report.add(name, *case)
     return report
 
 
@@ -405,26 +378,16 @@ def strict_sensible_suite(modal, cfg: FuzzConfig) -> Report:
     every irreducible-conclusion subderivation is sensible and strict."""
     calculus = build_g3ix(modal)
     report = Report(f"strict-sensible {calculus.name}", cfg.count)
-    cap = 10 * cfg.count
-    done = 0
-    for i in range(cap):
-        if done >= cfg.count:
-            break
+
+    def witness(i):
         s = _irreducible_candidate(cfg, i)
-        if not is_irreducible(s):
-            continue
-        if not prove_g3(calculus, s, cfg.budget).is_provable:
-            continue
-        t0 = time.perf_counter()
+        if not is_irreducible(s) or not prove_g3(calculus, s, cfg.budget).is_provable:
+            return None
         res = find_strict_sensible(calculus, s, cfg.budget)
-        if not res.is_definite:
-            flag = "indefinite"
-        elif res.is_provable and strict_sensible_throughout(res.derivation, calculus):
-            flag = "agree"
-        else:
-            flag = "disagree"
-        report.cases.append(CaseRecord(done, "strict-sensible", print_sequent(s),
-                                       res.status, flag,
-                                       (time.perf_counter() - t0) * 1000.0))
-        done += 1
+        ok = (res.is_provable and strict_sensible_throughout(res.derivation, calculus)
+              if res.is_definite else None)
+        return print_sequent(s), res.status, ok
+
+    for case in _accepted(cfg, witness):
+        report.add("strict-sensible", *case)
     return report

@@ -24,14 +24,12 @@ from dataclasses import dataclass
 
 class ParseError(Exception):
     """Malformed formula, sequent or rule text; ``position`` is a 0-based
-    offset.  A parser that recovers from errors resumes at token ``stop``,
-    the first one the failed parse did not consume."""
+    offset."""
 
-    def __init__(self, message: str, position: int, stop: int | None = None):
+    def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.message = message
         self.position = position
-        self.stop = stop
 
 
 # (class, *fields) -> the one node with that structure
@@ -409,8 +407,8 @@ class Grammar:
                 i += 1
                 continue
             f, i = operand(toks, i)
-            if f is None:  # a token only looked at is not consumed
-                raise ParseError(f"expected {self.noun}, found {value or kind}", at, i)
+            if f is None:
+                raise ParseError(f"expected {self.noun}, found {value or kind}", at)
             if f.__class__ is int:
                 stack.append((_PREFIX, f))
                 continue
@@ -434,9 +432,8 @@ class Grammar:
                     f = make(left, f)
                 if not stack:
                     return f, i
-                if kind != "RPAR":  # a token read in place of ")" is consumed
-                    stop = min(i + 1, len(toks) - 1)
-                    raise ParseError(f"expected RPAR, found {value or kind}", at, stop)
+                if kind != "RPAR":
+                    raise ParseError(f"expected RPAR, found {value or kind}", at)
                 stack.pop()
                 i += 1
 

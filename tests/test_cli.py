@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -472,3 +473,77 @@ def test_numeric_options_accept_their_bounds(capsys):
     code, out, _ = run(capsys, "prove", "--calculus", "G3ip", "--depth", "1", "--nodes", "1",
                        "p -> p")
     assert code == 2 and out == "UNKNOWN (budget-exhausted)\n"
+
+
+def _small_runs(rule_file):
+    """Each subcommand's numeric options, and a valid argv that does little work."""
+    return {
+        "prove": (("--depth", "--nodes", "--seed"),
+                  ["prove", "--calculus", "G3ip", "--depth", "6", "--nodes", "60", "p -> p"]),
+        "transform": ((), ["transform", "--rules", "R_K"]),
+        "check-termination": (("--samples", "--size", "--atoms", "--seed"),
+                              ["check-termination", "--rules", "R_K", "--samples", "4"]),
+        "equiv-test": (("--count", "--size", "--atoms", "--seed", "--modal-depth", "--depth",
+                        "--nodes"),
+                       ["equiv-test", "--count", "2", "--size", "3", "--depth", "10",
+                        "--nodes", "200"]),
+        "rules-parse": ((), ["rules-parse", rule_file]),
+    }
+
+
+# where a string goes: the subcommand, and the option before it (None: the
+# last positional argument)
+_STRING_SLOTS = (("prove", None), ("prove", "--calculus"), ("transform", "--rules"),
+                 ("check-termination", "--rules"), ("check-termination", "--order"),
+                 ("equiv-test", "--modal"), ("rules-parse", None))
+
+
+def _with(argv, option, value):
+    """``argv`` with ``option`` set to ``value``, or its last argument
+    replaced if ``option`` is None."""
+    if option is None:
+        return argv[:-1] + [value]
+    if option in argv:
+        i = argv.index(option)
+        return argv[:i + 1] + [value] + argv[i + 2:]
+    return argv[:-1] + [option, value, argv[-1]] if argv[0] == "prove" else argv + [option, value]
+
+
+def test_every_cli_input_keeps_the_exit_code_contract(capsys, tmp_path):
+    # exit 0-3 and no traceback for every subcommand, every numeric option at
+    # -1, 0 and 1, bad strings in every string slot, and seeded mixtures
+    good = tmp_path / "good.rules"
+    good.write_text("rule R_K { premises: G => phi ; conclusion: P, box G => box phi }\n")
+    (tmp_path / "found.rules").write_text(
+        "rule A { premises: G => (phi\nrule B { premises: G => phi ; conclusion: G => box phi }\n")
+    (tmp_path / "latin-1.rules").write_bytes("# caf\u00e9\n".encode("latin-1"))
+    (tmp_path / "dir").mkdir()
+    bad = ["", "R_Nope", "=> p => & (", "[\u00b2]p", "box(\u00b2) G"]
+    bad += [str(tmp_path / name) for name in ("missing.rules", "dir", "latin-1.rules",
+                                                "found.rules")]
+    runs = _small_runs(str(good))
+    cases = []
+    for numeric, argv in runs.values():
+        cases.append(argv)
+        cases += [_with(argv, option, value) for option in numeric for value in ("-1", "0", "1")]
+    for command, option in _STRING_SLOTS:
+        cases += [_with(runs[command][1], option, value) for value in bad]
+        if option == "--calculus":
+            cases += [_with(runs[command][1], option, "G4i+" + value) for value in bad]
+    rng = random.Random(16)
+    for _ in range(40):
+        command = rng.choice(sorted(runs))
+        numeric, argv = runs[command]
+        for option in rng.sample(numeric, min(2, len(numeric))):
+            argv = _with(argv, option, rng.choice(("-1", "0", "1")))
+        slot = rng.choice([o for c, o in _STRING_SLOTS if c == command])
+        cases.append(_with(argv, slot, rng.choice(bad + [str(good)])))
+    for argv in cases:
+        try:
+            code, out, err = run(capsys, *argv)
+        except BaseException as e:  # name the input that raised
+            pytest.fail(f"{argv} raised {e!r}")
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if code in (1, 2):  # a negative or indefinite verdict is printed
+            assert out, argv

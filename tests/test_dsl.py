@@ -201,11 +201,31 @@ def _rules_record(text):
     return text, print_rules(rules), [(e.line, e.rule, e.message) for e in errors]
 
 
-# sha256 of the records of _rule_texts(12, 3_000), recorded with the
-# recursive-descent template parser
-RULES_FINGERPRINT = "1905a0e83dfdbe3f60051d874fbbf0a8cf04e4728a6ce8f30889e0f04b5e140e"
+# sha256 of the records of _rule_texts(12, 3_000), recorded when every
+# 'rule' keyword started a block of its own; before, an error that read the
+# next 'rule' keyword dropped that rule (32 records differed)
+RULES_FINGERPRINT = "49c7bf8a43bfca03091a01d436a21bca5acae3b98e7a09844bdfdc2ad913c631"
 
 
 def test_parse_rules_is_pinned():
     records = [_rules_record(text) for text in _rule_texts(12, 3_000)]
     assert hashlib.sha256(repr(records).encode()).hexdigest() == RULES_FINGERPRINT
+
+
+def test_an_error_does_not_hide_the_next_rule():
+    # the unclosed parenthesis is reported where the next 'rule' keyword
+    # stands, and that rule is still parsed
+    rules, errors = parse_rules("rule A { premises: G => (phi\n"
+                                "rule B { premises: G => phi ; conclusion: G => box phi }\n")
+    assert [r.name for r in rules] == ["B"]
+    assert [(e.line, e.rule, e.message) for e in errors] == \
+        [(2, None, "expected RPAR, found rule")]
+
+
+def test_stray_tokens_outside_blocks_are_reported_once_per_run():
+    rules, errors = parse_rules("x rule A { premises: none ; conclusion: G, p => p } y z\n"
+                                "rule B { premises: none ; conclusion: G, p => p } }")
+    assert [r.name for r in rules] == ["A", "B"]
+    assert [(e.line, e.message) for e in errors] == [
+        (1, "expected 'rule', found x"), (1, "expected 'rule', found y"),
+        (2, "expected 'rule', found RBRACE")]

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from seqprove.syntax import And, Imp, Modal, Or, subformulas
@@ -113,3 +115,50 @@ def test_strict_sensible_small():
     rep = strict_sensible_suite([B["R_K"]], cfg)
     assert rep.summary["disagree"] == 0
     assert rep.summary["shortfall"] == 0
+
+
+def _suite_runs(cfg):
+    rules = [B[name] for name in cfg.modal_rules]
+    return (("equivalence", lambda: equivalence_fuzz(cfg)),
+            ("admissibility", lambda: admissibility_suite(build_g4ix(rules), cfg)),
+            ("invertibility", lambda: invertibility_suite(rules, cfg)),
+            ("strict-sensible", lambda: strict_sensible_suite(rules, cfg)))
+
+
+# sha256 of every suite's (title, target, lines, summary) over seeds 42 and 7
+# and rule sets (), R_K and R_K,R_T at count 10, and the prove_g4/prove_g3
+# calls each suite made over those six configurations; recorded with one
+# hand-written rejection-sampling loop per suite and check
+SUITE_FINGERPRINT = "36e0f074f77ac38948dad6c03a89e191c9592dc9aceec2b36d63c21821597068"
+SUITE_PROVE_CALLS = {
+    "equivalence": {"prove_g4": 60, "prove_g3": 60},
+    "admissibility": {"prove_g4": 1211, "prove_g3": 0},
+    "invertibility": {"prove_g4": 0, "prove_g3": 1477},
+    "strict-sensible": {"prove_g4": 0, "prove_g3": 212},
+}
+
+
+def test_suites_are_pinned(monkeypatch):
+    # a sampling driver that tries one candidate too many, or one too few,
+    # changes the call counts even where the reports stay the same
+    import seqprove.harness as harness
+    calls = {}
+
+    def counted(name, prove):
+        def wrapper(*args, **kwargs):
+            calls[suite][name] += 1
+            return prove(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "prove_g4", counted("prove_g4", harness.prove_g4))
+    monkeypatch.setattr(harness, "prove_g3", counted("prove_g3", harness.prove_g3))
+    records = []
+    for seed in (42, 7):
+        for names in ((), ("R_K",), ("R_K", "R_T")):
+            cfg = FuzzConfig(seed=seed, count=10, modal_rules=names)
+            for suite, make in _suite_runs(cfg):
+                calls.setdefault(suite, {"prove_g4": 0, "prove_g3": 0})
+                rep = make()
+                records.append((rep.title, rep.target, rep.lines(), rep.json_summary()))
+    assert calls == SUITE_PROVE_CALLS
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == SUITE_FINGERPRINT
