@@ -126,8 +126,8 @@ class RuleSchema:
     metavariables are all bound stays open: a lookup would build, and so
     intern, a formula the sequent may lack.
 
-    ``forced`` lists the metavariables that a premise pins exactly, which
-    a proof checker reads off a node's children and passes to
+    ``forced`` lists the metavariables that a premise pins, which a proof
+    checker reads off a node's children (``forced_bindings``) and passes to
     ``match_conclusion`` (see ``_forced``)."""
 
     name: str
@@ -165,10 +165,10 @@ class RuleSchema:
             "metavars": schema_metavars(self),
             "shapes": frozenset(filter(None, (*map(_class, templates),
                                              succ_cls and ("=>", succ_cls)))),
-            "forced": _forced(self),
         }
         for name, value in compiled.items():
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "forced", _forced(self))
 
 
 def _stages(templates: tuple, succ) -> tuple:
@@ -193,24 +193,47 @@ def _stages(templates: tuple, succ) -> tuple:
 
 
 def _forced(rule: RuleSchema) -> tuple:
-    """The metavariables that a premise pins exactly, as (premise index,
-    name, sort).  A premise antecedent that is one plain context and nothing
-    else pins that context to the premise's antecedent; a premise succedent
-    that is a succedent or formula metavariable pins it to the premise's
-    succedent.  Only a name that the conclusion uses with the same sort is
-    pinned."""
+    """The metavariables that a premise pins, as (premise index, name, sort,
+    ...): first the succedent pins, then the context pins.  Only a name that
+    the conclusion uses with the same sort is pinned.
+
+    A premise succedent that is a succedent or formula metavariable pins it
+    to the child's succedent.  A premise antecedent pins a context G that an
+    exhaustive match of the conclusion would enumerate (a boxed one, or a
+    plain one that does not take the rest) if it holds no other context, G
+    at most once plainly and at most once boxed, and templates that the
+    succedent pins bind (``known``) but for at most one bare formula
+    metavariable (``free``).  Its pin is ``(i, G, "context", plain, box index
+    or None, known, free name or None)``, which ``forced_bindings`` solves."""
     sorts: dict = {}
     for name, sort in pattern_vars(rule.conclusion):
         sorts.setdefault(name, sort)
     pins = []
     for i, pat in enumerate(rule.premises):
-        if len(pat.items) == 1 and isinstance(pat.items[0], CtxVar):
-            pins.append((i, pat.items[0].name, "context"))
         if isinstance(pat.succedent, SuccVar):
             pins.append((i, pat.succedent.name, "succedent"))
         elif isinstance(pat.succedent, FVar):
             pins.append((i, pat.succedent.name, "formula"))
-    return tuple(pin for pin in pins if sorts.get(pin[1]) == pin[2])
+    pins = [pin for pin in pins if sorts.get(pin[1]) == pin[2]]
+    bound = {name for _, name, sort in pins if sort == "formula"}
+    enumerated = {it.name for it in rule.boxed + rule.plains[:-1]}
+    for i, pat in enumerate(rule.premises):
+        names = {it.name for it in pat.items if not is_template(it)}
+        name = names.pop() if len(names) == 1 else None
+        if name not in enumerated or sorts.get(name) != "context":
+            continue
+        plain = sum(isinstance(it, CtxVar) for it in pat.items)
+        boxes = [it.index for it in pat.items if isinstance(it, BoxedCtx)]
+        known, free = [], []
+        for t in filter(is_template, pat.items):
+            (known if {n for n, _ in template_vars(t)} <= bound else free).append(t)
+        if plain > 1 or len(boxes) > 1 or len(free) > 1:
+            continue
+        if free and not (isinstance(free[0], FVar) and sorts.get(free[0].name) == "formula"):
+            continue
+        pins.append((i, name, "context", plain == 1, boxes[0] if boxes else None,
+                     tuple(known), free[0].name if free else None))
+    return tuple(pins)
 
 
 def _class(t):
@@ -238,19 +261,23 @@ class Calculus:
     name: str
     rules: tuple
     style: str  # "G3" | "G4"
+    by_name: dict = _compiled()  # name -> the first rule of that name
+
+    def __post_init__(self):
+        by_name: dict = {}
+        for r in self.rules:
+            by_name.setdefault(r.name, r)
+        object.__setattr__(self, "by_name", by_name)
 
     def rule(self, name: str) -> RuleSchema | None:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        return None
+        return self.by_name.get(name)
 
     @cached_property
     def plan(self) -> tuple:
         """The rules in search order, built on first use and kept with the
         calculus: (axioms, invertible rules in commit order, branching rules
         in calculus order)."""
-        by_name = {r.name: r for r in self.rules}
+        by_name = self.by_name
         return (tuple(r for r in self.rules if not r.premises),
                 tuple(by_name[n] for n in _SAFE_ORDER if n in by_name),
                 tuple(r for r in self.rules if r.premises and r.name not in _SAFE_ORDER))
@@ -507,6 +534,14 @@ def _box_multiset(ms: FMultiset, index: int) -> FMultiset:
 
 
 def instantiate_pattern(p: Pattern, inst: dict) -> Sequent:
+    counts, succ = instantiate_counts(p, inst)
+    return Sequent(_from_counts(counts), succ)
+
+
+def instantiate_counts(p: Pattern, inst: dict) -> tuple:
+    """(the multiplicities of ``p``'s antecedent under ``inst``, as a dict
+    from formula to count, and its succedent): ``instantiate_pattern``
+    without building the multiset or the sequent."""
     counts: dict = {}
     for item in p.items:
         if isinstance(item, CtxVar):
@@ -536,7 +571,7 @@ def instantiate_pattern(p: Pattern, inst: dict) -> Sequent:
             raise InstantiationError(f"unbound metavariable {p.succedent.name}") from None
     else:
         succ = instantiate_template(p.succedent, inst)
-    return Sequent(_from_counts(counts), succ)
+    return counts, succ
 
 
 def instantiate_premises(rule: RuleSchema, inst: dict) -> list[Sequent]:
@@ -634,7 +669,7 @@ def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY,
     one once.
 
     ``forced`` binds some metavariables in advance (``check_derivation``
-    reads them off a node's children, see ``RuleSchema.forced``); only the
+    reads them off a node's children with ``forced_bindings``); only the
     instantiations that agree with it are returned.
     """
     pat = rule.conclusion
@@ -699,6 +734,82 @@ def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY,
     if len(results) > 1:
         results.sort(key=_inst_key)
     return results
+
+
+def forced_bindings(rule: RuleSchema, premises) -> list[dict]:
+    """The bindings that the sequents ``premises`` of a node's children force
+    on ``rule``'s metavariables (``RuleSchema.forced``), as alternatives:
+    every instantiation of ``rule`` whose premises instantiate to
+    ``premises`` agrees with one of them, so a checker needs to match the
+    conclusion only under each (``match_conclusion``'s ``forced``).  A pin
+    with a ``free`` metavariable gives one alternative per distinct formula
+    of its child's antecedent, every other pin at most one; no alternative
+    means that no instantiation fits."""
+    found = [{}]
+    for i, name, sort, *context in rule.forced:
+        s = premises[i]
+        step = []
+        for forced in found:
+            if context:
+                pinned = _context_pin(s.antecedent, name, forced, *context)
+            elif s.succedent is None and sort == "formula":
+                pinned = ()  # a formula metavariable is never empty
+            else:
+                pinned = ({name: s.succedent},)
+            step += [{**forced, **new} for new in pinned
+                     if all(forced.get(n, v) == v for n, v in new.items())]
+        found = step
+    return found
+
+
+def _context_pin(ms: FMultiset, name: str, forced: dict, plain: bool, index,
+                 known: tuple, free) -> list[dict]:
+    """The bindings of context ``name`` (and of ``free``) under which a
+    premise antecedent of G (if ``plain``), box G (if ``index`` is not None),
+    the ``known`` templates and the metavariable ``free`` is ``ms``."""
+    for t in known:
+        f = instantiate_template(t, forced)
+        if f not in ms:
+            return []
+        ms = ms.remove(f)
+    if free is None:
+        g = _context_of(ms, plain, index)
+        return [] if g is None else [{name: g}]
+    return [{name: g, free: f} for f in ms.distinct()
+            if (g := _context_of(ms.remove(f), plain, index)) is not None]
+
+
+def _context_of(ms: FMultiset, plain: bool, index) -> FMultiset | None:
+    """The one multiset G such that G (if ``plain``) and box G (boxes of
+    ``index``, if it is not None) together make ``ms``, or None.
+
+    For G and box G together, G is peeled off the bottom of each chain f,
+    box f, box box f, ...: the copies of a formula that are not boxes of
+    what G already holds are all in G, and each needs its box in ``ms``."""
+    if index is None:
+        return ms
+    if not plain:
+        if all(isinstance(f, Modal) and f.index == index for f in ms.distinct()):
+            return _from_counts({f.body: n for f, n in ms.pairs()})
+        return None
+
+    def depth(f):  # the number of boxes of ``index`` f starts with
+        n = 0
+        while isinstance(f, Modal) and f.index == index:
+            f, n = f.body, n + 1
+        return n
+
+    g: dict = {}
+    owed: dict = {}  # formula of G -> the copies of its box still unseen
+    for f in sorted(ms.distinct(), key=depth):
+        n = ms.count(f)
+        if isinstance(f, Modal) and f.index == index:
+            n -= owed.pop(f.body, 0)
+            if n < 0:
+                return None
+        if n:
+            g[f] = owed[f] = n
+    return None if owed else _from_counts(g)
 
 
 def format_instantiation(inst: dict) -> str:

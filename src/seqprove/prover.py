@@ -18,21 +18,28 @@ at each node the search tries only those whose principal classes
 branching rules are tested only at a node that gets that far.
 
 Derivations serialize as nested ``{"sequent", "rule", "children"}`` dicts.
-A node's sequent shares most formulas with its parent's, so
+The search shares subtrees, so a derivation is a DAG; JSON writes a shared
+node at each occurrence.  ``derivation_to_dict`` builds each distinct node
+object's dict once, and ``derivation_from_dict`` makes one node per distinct
+(sequent text, rule, children), parsing each distinct sequent text once: a
+reloaded derivation is a DAG again.  ``walk`` yields every occurrence of a
+shared node.  A node's sequent shares most formulas with its parent's, so
 ``derivation_to_dict`` passes one formula-to-text memo to ``print_sequent``
 for the whole tree and ``derivation_from_dict`` one text-to-formula memo to
 ``parse_sequent``: each distinct formula is printed and parsed once per
 derivation.  The memos are dropped when the call returns.  Indented JSON
 comes from ``dumps_indented``, byte-identical to ``json.dumps(obj,
-indent=k)`` but without the stdlib's pure-Python encoder.  ``walk``,
+indent=k)`` but without the stdlib's pure-Python encoder.  These, ``walk``,
 ``height`` and ``format_derivation`` use explicit stacks, so they work on
 derivations of any depth.
 
 ``check_derivation`` checks a derivation independently of the search that
 made it.  A node without an instantiation, as every node read back from
-JSON is, is matched exhaustively, with the bindings that its children's
-conclusions force (``RuleSchema.forced``) given in advance: so a reloaded
-``R_K`` node costs one match, not one per sub-multiset of its boxes.
+JSON is, is matched exhaustively under each alternative of the bindings
+that its children's conclusions force (``calculus.forced_bindings``): a
+reloaded node of every builtin rule but ``R_SL`` and ``R_SL->`` costs at
+most one match per distinct formula of a child, not one per sub-multiset
+of its boxes.
 """
 
 from __future__ import annotations
@@ -44,8 +51,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .syntax import And, Atom, Bot, Imp, Modal, Or, Sequent, parse_sequent, print_sequent
 from .calculus import (
-    AXIOM, EXHAUSTIVE, GREEDY, Calculus, instantiate_pattern, instantiate_premises,
-    instantiate_template, is_right_modal, match_conclusion, offered,
+    AXIOM, EXHAUSTIVE, GREEDY, Calculus, forced_bindings, instantiate_counts,
+    instantiate_premises, instantiate_template, is_right_modal, match_conclusion, offered,
 )
 from .orders import DYCKHOFF, WeightFunction, sequent_less
 
@@ -384,7 +391,7 @@ def check_derivation(calculus: Calculus, d: Derivation) -> bool:
     and compared, so the verdict does not trust the matcher.  The nodes are
     checked in preorder from an explicit stack, so a derivation of any depth
     gets a verdict, and each distinct node object once, since the search
-    shares subtrees."""
+    and ``derivation_from_dict`` share subtrees."""
     seen = set()  # ids of the nodes checked
     stack = [d]
     while stack:
@@ -403,13 +410,17 @@ def _is_rule_instance(calculus: Calculus, d: Derivation) -> bool:
     rule = calculus.rule(d.rule)
     if rule is None or len(d.children) != len(rule.premises):
         return False
-    child_concls = [c.conclusion for c in d.children]
+    sequents = (d.conclusion, *(c.conclusion for c in d.children))
+    patterns = (rule.conclusion, *rule.premises)
 
     def fits(inst: dict) -> bool:
+        # compare multiplicities: no multiset or sequent is built per pattern
         try:
-            if instantiate_pattern(rule.conclusion, inst) != d.conclusion:
-                return False
-            return instantiate_premises(rule, inst) == child_concls
+            for pat, s in zip(patterns, sequents):
+                counts, succ = instantiate_counts(pat, inst)
+                if succ != s.succedent or counts.items() != s.antecedent.pairs():
+                    return False
+            return True
         except RecursionError:
             raise  # a limit of this interpreter, not a verdict on the tree
         except Exception:
@@ -417,37 +428,63 @@ def _is_rule_instance(calculus: Calculus, d: Derivation) -> bool:
 
     if d.instantiation is not None and fits(d.instantiation):
         return True
-    forced: dict = {}
-    for i, name, sort in rule.forced:
-        value = child_concls[i].antecedent if sort == "context" else child_concls[i].succedent
-        if value is None and sort == "formula":
-            return False  # a formula metavariable is never empty
-        if forced.setdefault(name, value) != value:
-            return False  # two premises pin one name to different values
-    return any(fits(inst) for inst in match_conclusion(rule, d.conclusion, EXHAUSTIVE, forced))
+    return any(fits(inst) for forced in forced_bindings(rule, sequents[1:])
+               for inst in match_conclusion(rule, d.conclusion, EXHAUSTIVE, forced))
 
 
 # --- serialization ----------------------------------------------------------------
 
 def derivation_to_dict(d: Derivation) -> dict:
-    return _to_dict(d, {})
-
-
-def _to_dict(d: Derivation, texts: dict) -> dict:
-    return {
-        "sequent": print_sequent(d.conclusion, texts),
-        "rule": d.rule,
-        "children": [_to_dict(c, texts) for c in d.children],
-    }
+    """``d`` as nested ``{"sequent", "rule", "children"}`` dicts.  Each
+    distinct node object is written once: a node that ``d`` shares is one
+    dict object wherever it occurs, which JSON writes out in full each time."""
+    texts: dict = {}  # formula -> text, for the whole tree
+    done: dict = {}  # id of a node -> its dict
+    stack = [(d, False)]  # (node, its children are done)
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in done:
+            continue
+        if not ready:
+            stack.append((node, True))
+            stack.extend((c, False) for c in node.children)
+            continue
+        done[id(node)] = {
+            "sequent": print_sequent(node.conclusion, texts),
+            "rule": node.rule,
+            "children": [done[id(c)] for c in node.children],
+        }
+    return done[id(d)]
 
 
 def derivation_from_dict(obj: dict) -> Derivation:
-    return _from_dict(obj, {})
-
-
-def _from_dict(obj: dict, formulas: dict) -> Derivation:
-    children = tuple(_from_dict(c, formulas) for c in obj.get("children", ()))
-    return Derivation(parse_sequent(obj["sequent"], formulas), obj["rule"], None, children)
+    """The derivation that ``obj`` writes, as a DAG: nodes with the same
+    sequent text, rule and (already shared) children are one object, and
+    each distinct sequent text is parsed once."""
+    formulas: dict = {}  # formula text -> formula, for the whole tree
+    sequents: dict = {}  # sequent text -> sequent
+    nodes: dict = {}  # (sequent text, rule, children) -> node
+    built: dict = {}  # id of a dict -> its node
+    stack = [(obj, False)]  # (dict, its children are built)
+    while stack:
+        o, ready = stack.pop()
+        if id(o) in built:
+            continue
+        kids = o.get("children", ())
+        if not ready:
+            stack.append((o, True))
+            stack.extend((c, False) for c in kids)
+            continue
+        text, rule = o["sequent"], o["rule"]
+        key = (text, rule, tuple(built[id(c)] for c in kids))
+        node = nodes.get(key)
+        if node is None:
+            s = sequents.get(text)
+            if s is None:
+                s = sequents[text] = parse_sequent(text, formulas)
+            node = nodes[key] = Derivation(s, rule, None, key[2])
+        built[id(o)] = node
+    return built[id(obj)]
 
 
 def derivation_to_json(d: Derivation, indent: int | None = None) -> str:

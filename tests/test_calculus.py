@@ -222,19 +222,45 @@ def test_forced_bindings_filter_the_exhaustive_match():
 
 
 def test_rules_compile_the_bindings_their_premises_pin():
-    rules = {ru.name: ru for ru in build_g4ix([B["R_K"], B["R_D"]]).rules}
-    assert rules["R_K"].forced == ((0, "G", "context"), (0, "phi", "formula"))
-    assert rules["R_K->"].forced == ((0, "G", "context"), (0, "phi", "formula"),
-                                     (1, "D", "succedent"))
-    assert rules["RAnd"].forced == ((0, "G", "context"), (0, "phi", "formula"),
-                                    (1, "G", "context"), (1, "psi", "formula"))
+    rules = {ru.name: ru for ru in build_g4ix([B["R_K"], B["R_D"], B["R_K4"], B["R_GL"],
+                                                B["R_SL"], B["R_X"]]).rules}
+    g = (0, "G", "context", True, None, (), None)  # G => _ pins G
+    assert rules["R_K"].forced == ((0, "phi", "formula"), g)
+    assert rules["R_K->"].forced == ((0, "phi", "formula"), (1, "D", "succedent"), g)
+    # G takes the rest of the conclusion: an exhaustive match does not enumerate it
+    assert rules["RAnd"].forced == ((0, "phi", "formula"), (1, "psi", "formula"))
     assert rules["LImpImp"].forced == ((1, "D", "succedent"),)  # gamma, G => D
-    assert rules["R_D"].forced == ()  # G, phi => _
+    assert rules["R_D"].forced == ((0, "G", "context", True, None, (), "phi"),)  # G, phi =>
+    assert rules["R_K4"].forced == ((0, "phi", "formula"), (0, "G", "context", True, 0, (), None))
+    assert rules["R_GL"].forced == ((0, "phi", "formula"),
+                                    (0, "G", "context", True, 0, (Modal(0, FVar("phi")),), None))
+    assert rules["R_X"].forced == ((0, "phi", "formula"), (0, "G", "context", False, 0, (), None))
+    assert rules["R_SL"].forced == ((0, "phi", "formula"),)  # P, box G, G, box phi => phi
     assert rules["Ax"].forced == ()
     # a name the conclusion uses with another sort is not pinned
     odd = RuleSchema("Odd", (Pattern((CtxVar("P"),), SuccVar("G")),),
                      Pattern((CtxVar("P"), CtxVar("G")), q), "left")
-    assert odd.forced == ((0, "P", "context"),)
+    assert odd.forced == ((0, "P", "context", True, None, (), None),)
+
+
+def test_every_fitting_instance_agrees_with_a_forced_binding():
+    # the pins only filter: an instance's own premises force bindings that
+    # it agrees with, including G, box G peeled off chains of boxes
+    rng = random.Random(31)
+    pool = [p, q, Modal(0, p), Modal(0, q), Modal(0, Modal(0, p)),
+            Modal(0, Modal(0, Modal(0, p))), Modal(1, p), Modal(1, Modal(0, p)),
+            Imp(Modal(0, p), q), And(p, q)]
+    rules = build_g4ix(list(B.values()) + REPEATED_RULES).rules
+    checked = 0
+    for _ in range(300):
+        ante = FMultiset(rng.choice(pool) for _ in range(rng.randint(0, 5)))
+        s = Sequent(ante, rng.choice(pool) if rng.random() < 0.85 else None)
+        for rule in rules:
+            for inst in match_conclusion(rule, s, EXHAUSTIVE):
+                found = calculus.forced_bindings(rule, instantiate_premises(rule, inst))
+                assert any(all(inst[n] == v for n, v in f.items()) for f in found), rule.name
+                checked += bool(rule.forced)
+    assert checked > 1000
 
 
 # rules that name a context twice in their conclusion, or have two plain

@@ -538,12 +538,18 @@ def test_every_cli_input_keeps_the_exit_code_contract(capsys, tmp_path):
             argv = _with(argv, option, rng.choice(("-1", "0", "1")))
         slot = rng.choice([o for c, o in _STRING_SLOTS if c == command])
         cases.append(_with(argv, slot, rng.choice(bad + [str(good)])))
-    for argv in cases:
+    # nested past the recursion limit: one deep formula, and two distinct ones
+    deep = "~" * 30000
+    too_deep = [["prove", "--calculus", "G4ip", "--sequent", text]
+                for text in (f"{deep}p => p", f"{deep}p, {deep}q => p")]
+    for argv in cases + too_deep:
         try:
             code, out, err = run(capsys, *argv)
         except BaseException as e:  # name the input that raised
             pytest.fail(f"{argv} raised {e!r}")
         assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in err, argv
+        if argv in too_deep:
+            assert (code, err) == (3, "seqprove: error: input nested too deeply\n")
         if code in (1, 2):  # a negative or indefinite verdict is printed
             assert out, argv

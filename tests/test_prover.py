@@ -224,6 +224,53 @@ def test_reloaded_r_k_node_over_24_boxes_checks_fast():
         signal.signal(signal.SIGALRM, old)
 
 
+@pytest.mark.parametrize("names, text", [
+    (("R_K", "R_D"), "{boxes}, []false => q"),
+    (("R_K4",), "{boxes} => [](p0 | p1)"),
+    (("R_GL",), "{boxes} => [](p0 | p1)"),
+    (("R_X",), "{boxes} => [](q -> q)"),
+])
+def test_reloaded_modal_root_over_24_boxes_checks_fast(names, text):
+    # the premise antecedents G, phi (R_D), G, box G (R_K4), G, box G, box phi
+    # (R_GL) and box G (R_X) pin G: one match per distinct formula at most
+    n = 24
+    s = seq(text.format(boxes=", ".join(f"[]p{i}" for i in range(n))))
+    modal = [B[name] for name in names]
+    calc = build_g4ix(modal) if names[0] == "R_K" else build_g3ix(modal)
+    d = (prove_g4 if calc.style == "G4" else prove_g3)(calc, s).derivation
+    assert d.rule == names[-1]
+    loaded = derivation_from_json(derivation_to_json(d))
+    old = signal.signal(signal.SIGALRM, _expire)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        assert check_derivation(calc, loaded)
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_reloaded_derivations_share_nodes(monkeypatch):
+    # one node object per distinct (sequent, rule, children), never more
+    # than the original has, and one parse per distinct sequent text
+    parsed = []
+    real = prover.parse_sequent
+    monkeypatch.setattr(prover, "parse_sequent",
+                        lambda text, memo: parsed.append(text) or real(text, memo))
+    shared = 0
+    for _, d in _fuzz_derivations()[::2]:
+        parsed.clear()
+        loaded = derivation_from_json(derivation_to_json(d))
+        assert [(n.conclusion, n.rule) for n in walk(loaded)] == \
+            [(n.conclusion, n.rule) for n in walk(d)]
+        distinct = list({id(n): n for n in walk(loaded)}.values())
+        assert len(distinct) <= len({id(n) for n in walk(d)})
+        assert len({(n.conclusion, n.rule, n.children) for n in distinct}) == len(distinct)
+        assert sorted(parsed) == sorted({print_sequent(n.conclusion) for n in distinct})
+        shared += len(distinct) < sum(1 for _ in walk(d))
+    assert shared > 10
+
+
 def test_check_derivation_checks_each_shared_node_once(monkeypatch):
     checked = []
     real = prover._is_rule_instance
@@ -530,10 +577,13 @@ def test_deep_derivations_do_not_recurse():
     sys.setrecursionlimit(1_000)
     try:
         lines = format_derivation(shallow).split("\n")
+        loaded = derivation_from_dict(derivation_to_dict(shallow))
     finally:
         sys.setrecursionlimit(limit)
     assert len(lines) == 3_000
     assert lines[-1] == "  " * 2_999 + "p => p   [Ax]"
+    assert [(n.conclusion, n.rule) for n in walk(loaded)] == \
+        [(n.conclusion, n.rule) for n in walk(shallow)]
 
 
 def _land_chain(n: int, with_instantiations: bool, leaf_ps: int = 0) -> Derivation:
@@ -567,7 +617,7 @@ def test_check_derivation_accepts_deep_derivations(n):
 def test_check_derivation_does_not_turn_recursion_errors_into_verdicts(monkeypatch):
     def too_deep(*args):
         raise RecursionError("maximum recursion depth exceeded")
-    monkeypatch.setattr(prover, "instantiate_pattern", too_deep)
+    monkeypatch.setattr(prover, "instantiate_counts", too_deep)
     with pytest.raises(RecursionError):
         check_derivation(G3, _land_chain(3, True))
 
