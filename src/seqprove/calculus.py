@@ -49,7 +49,8 @@ class DslValidationError:
 
     def __str__(self) -> str:
         where = f"rule {self.rule}" if self.rule else "input"
-        return f"line {self.line}: {where}: {self.message}"
+        line = f"line {self.line}: " if self.line else ""  # 0: not read from text
+        return f"{line}{where}: {self.message}"
 
 
 class InvalidRulesError(Exception):
@@ -170,6 +171,15 @@ class RuleSchema:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "forced", _forced(self))
 
+    @cached_property
+    def certified(self) -> bool:
+        """Whether the Dyckhoff order certifies every premise below the
+        conclusion (``orders.certified``), so that no instance can fail the
+        search's decrease check.  Computed on first use, since ``orders``
+        imports this module, and kept with the rule."""
+        from .orders import DYCKHOFF, certified
+        return certified(DYCKHOFF, self)
+
 
 def _stages(templates: tuple, succ) -> tuple:
     """The match stages of antecedent ``templates`` under ``succ`` (see
@@ -271,6 +281,15 @@ class Calculus:
 
     def rule(self, name: str) -> RuleSchema | None:
         return self.by_name.get(name)
+
+    @cached_property
+    def refutable(self) -> bool:
+        """Whether ``prove_g4`` may answer Unprovable from a classical
+        countermodel (``refute``): every rule is certified, so the search it
+        replaces could not raise a termination violation, and every rule is
+        one that stays sound with each box read as its body (``_BODY_SOUND``).
+        Built on first use and kept with the calculus."""
+        return all(r in _BODY_SOUND and r.certified for r in self.rules)
 
     @cached_property
     def plan(self) -> tuple:
@@ -460,6 +479,12 @@ def transform_right_modal(rule: RuleSchema) -> RuleSchema:
                       LEFT, provenance=f"generated-from:{rule.name}")
 
 
+# The rules that stay classically sound when each box is read as its body,
+# compared with ``==``: a rule of another name or provenance is not one of them.
+_BODY_SOUND = frozenset((*g3ip().rules, *g4ip().rules, _R_K, _R_D, _R_T, _R_X,
+                         transform_right_modal(_R_K), transform_right_modal(_R_X)))
+
+
 class NonflatWarning(UserWarning):
     """A modal rule in the extension set is flat; the equivalence theorem's
     hypotheses are not all checkable for this calculus."""
@@ -488,7 +513,7 @@ def build_g3ix(modal) -> Calculus:
     """G3ip extended by the given modal rules."""
     modal = tuple(modal)
     _validate_modal(modal)
-    return Calculus(_ext_name("G3", modal), g3ip().rules + modal, "G3")
+    return _assemble(_ext_name("G3", modal), g3ip().rules + modal, "G3")
 
 
 def build_g4ix(modal) -> Calculus:
@@ -504,7 +529,18 @@ def build_g4ix(modal) -> Calculus:
             if (gen.premises, gen.conclusion) not in seen:
                 seen.add((gen.premises, gen.conclusion))
                 rules.append(gen)
-    return Calculus(_ext_name("G4", modal), tuple(rules), "G4")
+    return _assemble(_ext_name("G4", modal), tuple(rules), "G4")
+
+
+def _assemble(name: str, rules: tuple, style: str) -> Calculus:
+    """The calculus of ``rules``.  The search and the proof checker take a
+    rule by its name, so a second rule of a name is malformed."""
+    seen: set = set()
+    clashes = [DslValidationError(0, r.name, "the calculus already has a rule of this name")
+               for r in rules if r.name in seen or seen.add(r.name)]
+    if clashes:
+        raise InvalidRulesError(clashes)
+    return Calculus(name, rules, style)
 
 
 # --- instantiation ----------------------------------------------------------

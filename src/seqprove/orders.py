@@ -251,13 +251,21 @@ def _sample_instantiation(sorts: dict, rng: random.Random, cfg: SamplingConfig) 
     return inst
 
 
+def certified(w: WeightFunction, rule: RuleSchema) -> bool:
+    """Whether ``_premise_certified`` certifies every premise of ``rule``
+    below its conclusion under ``w``.  Under ``DYCKHOFF`` read the bit the
+    rule keeps, ``rule.certified``, instead."""
+    return all(_premise_certified(p, rule.conclusion, w) for p in rule.premises)
+
+
 def check_schema_termination(w: WeightFunction, rule: RuleSchema,
                              cfg: SamplingConfig | None = None) -> TerminationVerdict:
     """Terminating only when the symbolic criterion certifies the decrease for
-    all instantiations; otherwise hunt for a concrete counterexample with
-    seeded random instantiations, and report Unknown when none shows up."""
+    all instantiations (under ``DYCKHOFF``, the rule's kept bit); otherwise
+    hunt for a concrete counterexample with seeded random instantiations, and
+    report Unknown when none shows up."""
     cfg = cfg or SamplingConfig()
-    if all(_premise_certified(p, rule.conclusion, w) for p in rule.premises):
+    if rule.certified if w is DYCKHOFF else certified(w, rule):
         return TerminationVerdict("terminating")
     rng = random.Random(f"{cfg.seed}:termination:{rule.name}")
     for _ in range(cfg.samples):

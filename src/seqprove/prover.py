@@ -10,6 +10,17 @@ succedent must not repeat along a branch) and can answer Unknown.
 ``find_strict_sensible`` is the loop-checked search restricted at irreducible
 sequents to sensible, strict roots.
 
+``prove_g4`` first tries to refute its goal at the root, once, without
+search (``refute``).  It reads each box as its body and looks for a classical
+valuation that makes the antecedent true and the succedent false: a
+one-world countermodel.  It does so only under the Dyckhoff weight and for a
+calculus whose rules all carry the Dyckhoff certificate and are G3ip or
+G4ip rules, ``R_K``, ``R_D``, ``R_T``, ``R_X`` or a rule generated from one of
+them (``Calculus.refutable``), so a refutation can hide neither a
+termination violation nor a derivation.  ``holds`` checks the valuation
+before the answer is Unprovable, which is the same ``ProofResult`` as the
+search's; sequents beyond ``refute.ATOM_LIMIT`` atoms are searched.
+
 The strategy is the same for all: close by axioms, then commit to the first
 applicable invertible rule, then branch over the remaining rule instances in
 deterministic order.  The rules come from the static ``Calculus.plan``, and
@@ -55,6 +66,7 @@ from .calculus import (
     instantiate_premises, instantiate_template, is_right_modal, match_conclusion, offered,
 )
 from .orders import DYCKHOFF, WeightFunction, sequent_less
+from .refute import holds, refute
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
@@ -319,7 +331,13 @@ def prove_g4(calculus: Calculus, s: Sequent, match_mode: str = GREEDY,
              weight: WeightFunction = DYCKHOFF) -> ProofResult:
     """Backward search in a terminating calculus: always definite.  Raises
     TerminationViolation if an applied rule instance fails to decrease the
-    sequent order."""
+    sequent order.  Under ``DYCKHOFF`` and a ``Calculus.refutable`` calculus,
+    a classical countermodel of ``s`` (``refute``) that ``holds`` confirms
+    answers Unprovable first, with no search."""
+    if weight is DYCKHOFF and calculus.refutable:
+        model = refute(s)
+        if model is not None and not holds(model, s):
+            return UNPROVABLE
     return _search(calculus, s, match_mode, weight=weight)
 
 

@@ -154,6 +154,21 @@ def test_build_rejects_malformed():
         build_g4ix([bad])
 
 
+def test_build_rejects_a_second_rule_of_a_name():
+    # the search takes an invertible rule by name: a second LAnd would
+    # never be tried
+    (land,), _ = parse_rules("rule LAnd { premises: G, phi => D ; conclusion: G, phi & psi => D }")
+    for build in (build_g3ix, build_g4ix):
+        with pytest.raises(InvalidRulesError, match="rule LAnd: the calculus already has"):
+            build([land])
+        with pytest.raises(InvalidRulesError, match="rule R_K: "):
+            build([B["R_K"], B["R_K"]])
+    (arrow,), _ = parse_rules("rule R_K-> { premises: G => phi ; conclusion: G, box phi => phi }")
+    with pytest.raises(InvalidRulesError, match="rule R_K->: "):
+        build_g4ix([B["R_K"], arrow])  # clashes with the rule generated from R_K
+    assert build_g3ix([B["R_K"], arrow]).rule("R_K->") is arrow
+
+
 def test_match_conclusion_examples():
     rk = B["R_K"]
     insts = match_conclusion(rk, parse_sequent("[]p, []q, r => [](p & q)"), GREEDY)

@@ -427,6 +427,15 @@ def test_prove_with_user_rules_file(capsys, tmp_path):
     assert code == 1
 
 
+def test_prove_refuses_a_second_rule_of_a_name(capsys, tmp_path):
+    f = tmp_path / "land.rules"
+    f.write_text("rule LAnd { premises: G, phi => D ; conclusion: G, phi & psi => D }\n")
+    code, out, err = run(capsys, "prove", "--calculus", f"G4i+{f}", "--sequent", "p & q => p")
+    assert (code, out) == (3, "")
+    assert err == ("seqprove: error: rule LAnd: the calculus already has a rule "
+                   "of this name\n")
+
+
 def test_equiv_test_exhaustive_match(capsys):
     code, out, _ = run(capsys, "equiv-test", "--modal", "R_K", "--count", "15",
                        "--seed", "3", "--match", "exhaustive")

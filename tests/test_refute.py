@@ -1,0 +1,202 @@
+"""The root refuter: classical one-world countermodels, their checker, and
+the gate that decides which calculi ``prove_g4`` refutes in."""
+
+import functools
+import itertools
+
+import pytest
+
+from seqprove import prover, refute as refute_module
+from seqprove.syntax import And, Atom, Bot, Modal, Or, parse_sequent, subformulas
+from seqprove.calculus import (
+    GREEDY, build_g3ix, build_g4ix, builtin_modal_rules, g3ip, g4ip,
+)
+from seqprove.dsl import parse_rules
+from seqprove.harness import FuzzConfig, gen_sequent
+from seqprove.orders import DYCKHOFF
+from seqprove.prover import TerminationViolation, _search, prove_g3, prove_g4, walk
+from seqprove.refute import ATOM_LIMIT, holds, refute
+
+B = builtin_modal_rules()
+# criterion 1's rule sets and streams
+RULE_SETS = ((), ("R_K",), ("R_K", "R_D"), ("R_T",))
+STREAM = FuzzConfig(seed=42, count=500, max_size=12, atoms=3, max_modal_depth=2)
+
+
+def _value(f, model) -> bool:
+    """Classical truth of ``f`` in ``model``, boxes read as their bodies: a
+    recursive oracle that shares nothing with ``holds``."""
+    if isinstance(f, Atom):
+        return f.name in model
+    if isinstance(f, Bot):
+        return False
+    if isinstance(f, Modal):
+        return _value(f.body, model)
+    left, right = _value(f.left, model), _value(f.right, model)
+    if isinstance(f, And):
+        return left and right
+    if isinstance(f, Or):
+        return left or right
+    return not left or right
+
+
+def _true_in(model, s) -> bool:
+    return not all(_value(f, model) for f in s.antecedent) or \
+        (s.succedent is not None and _value(s.succedent, model))
+
+
+def _atoms(s) -> list:
+    formulas = list(s.antecedent) + ([s.succedent] if s.succedent is not None else [])
+    return sorted({g.name for f in formulas for g in subformulas(f) if isinstance(g, Atom)})
+
+
+def _models(s):
+    names = _atoms(s)
+    for bits in itertools.product((False, True), repeat=len(names)):
+        yield frozenset(n for n, b in zip(names, bits) if b)
+
+
+@functools.cache
+def _streams() -> tuple:
+    """(G4 calculus, G3 calculus, sequents) per rule set of criterion 1."""
+    out = []
+    for names in RULE_SETS:
+        modal = [B[n] for n in names]
+        out.append((build_g4ix(modal), build_g3ix(modal),
+                    [gen_sequent(STREAM, i) for i in range(STREAM.count)]))
+    return tuple(out)
+
+
+def test_examples():
+    assert refute(parse_sequent("=> p | ~p")) is None
+    assert refute(parse_sequent("=> ((p -> q) -> p) -> p")) is None  # Peirce: classical
+    assert refute(parse_sequent("p -> q => q")) == frozenset()
+    assert refute(parse_sequent("q => p")) == {"q"}
+    assert refute(parse_sequent("[]p =>")) == {"p"}  # the box read as its body
+    assert refute(parse_sequent("[]false =>")) is None
+    assert refute(parse_sequent("=> false")) == frozenset()
+    assert not holds(frozenset(), parse_sequent("=> false"))
+    assert holds({"p"}, parse_sequent("=> [](q -> p)"))
+    assert not holds({"q"}, parse_sequent("[]q, p | q => p & q"))
+
+
+def test_every_refutation_is_a_countermodel_and_flips_are_judged_right():
+    refuted = flipped = 0
+    for _, _, sequents in _streams():
+        for s in sequents:
+            model = refute(s)
+            assert (model is None) == all(_true_in(m, s) for m in _models(s))
+            if model is None:
+                continue
+            refuted += 1
+            assert not holds(model, s) and not _true_in(model, s)
+            for name in _atoms(s):
+                other = model ^ {name}
+                assert holds(other, s) == _true_in(other, s)
+                flipped += holds(other, s)
+    assert refuted > 500 and flipped > 500
+
+
+def test_refuted_sequents_are_unprovable_by_search():
+    # the search behind each root refutation, with the decrease check on:
+    # criterion 3's run-time check still covers the sequents prove_g4 refutes
+    refuted = 0
+    for c4, _, sequents in _streams():
+        assert c4.refutable
+        for s in sequents:
+            if refute(s) is not None:
+                refuted += 1
+                assert _search(c4, s, GREEDY, weight=DYCKHOFF).is_unprovable
+                assert prove_g4(c4, s) is prover.UNPROVABLE
+    assert refuted > 500
+
+
+def test_derivations_hold_in_every_one_world_model():
+    # the reading is sound for the rule sets refuted in: every sequent of
+    # every derivation either engine finds holds in every model
+    proved = 0
+    for c4, c3, sequents in _streams():
+        for s in sequents:
+            for res in (prove_g4(c4, s), prove_g3(c3, s)):
+                if res.derivation is None:
+                    continue
+                proved += 1
+                for node in walk(res.derivation):
+                    t = node.conclusion
+                    assert refute(t) is None
+                    assert all(holds(m, t) for m in _models(t))
+    assert proved > 500
+
+
+def test_atom_limit():
+    def wide(n):  # n + 1 atoms
+        return parse_sequent(", ".join(f"p{i}" for i in range(n)) + " => q")
+    assert refute(wide(ATOM_LIMIT - 1)) == {f"p{i}" for i in range(ATOM_LIMIT - 1)}
+    assert refute(wide(ATOM_LIMIT)) is None  # one atom too many: left to the search
+
+
+def test_deep_formulas_do_not_recurse():
+    s = parse_sequent("~" * 30001 + "p => p")
+    assert refute(s) == frozenset()
+    assert not holds(frozenset(), s)
+    assert holds({"p"}, s)
+    # answered before the search, which would hit the recursion limit
+    assert prove_g4(g4ip(), s) is prover.UNPROVABLE
+
+
+def _calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(prover, "refute", lambda s: calls.append(s) or refute_module.refute(s))
+    return calls
+
+
+@pytest.mark.parametrize("calc", [
+    g4ip(), build_g4ix([B["R_K"], B["R_D"]]), build_g4ix([B["R_K"], B["R_T"]]),
+    build_g4ix([B["R_X"]]), build_g4ix([B["R_T"], B["R_X"]]),
+], ids=lambda c: c.name)
+def test_builtin_sound_calculi_are_refuted(monkeypatch, calc):
+    calls = _calls(monkeypatch)
+    assert calc.refutable
+    assert prove_g4(calc, parse_sequent("[]p -> q => q")).is_unprovable
+    assert len(calls) == 1
+
+
+def _user(text):
+    rules, errors = parse_rules(text)
+    assert not errors
+    return rules
+
+
+@pytest.mark.parametrize("calc", [
+    build_g4ix([B["R_K"], B["R_K4"]]),
+    build_g4ix([B["R_GL"]]),
+    # the same schema as R_K, but a user rule: == tells them apart
+    build_g4ix(_user("rule R_K { premises: G => phi ; conclusion: P, box G => box phi }")),
+    build_g4ix([B["R_K"], *_user("rule T_user { premises: G, phi => D ; conclusion: G, box phi => D }")]),
+], ids=lambda c: c.name)
+def test_other_calculi_are_searched(monkeypatch, calc):
+    calls = _calls(monkeypatch)
+    assert not calc.refutable
+    assert prove_g4(calc, parse_sequent("p => q")).is_unprovable
+    assert calls == []
+
+
+def test_uncertified_rules_are_searched():
+    # G3ip's LImp under the G4 engine: the search must still raise
+    forced = type(g3ip())("G3ip", g3ip().rules, "G4")
+    assert not forced.refutable
+    with pytest.raises(TerminationViolation):
+        prove_g4(forced, parse_sequent("p -> q => q"))
+
+
+def test_the_certificate_bit_is_computed_once_per_rule(monkeypatch):
+    from seqprove import orders
+    calls = []
+    certified = orders.certified
+    monkeypatch.setattr(orders, "certified", lambda w, r: calls.append(r.name) or certified(w, r))
+    calc = build_g4ix(_user("rule K_user { premises: G => phi ; conclusion: P, box G => box phi }"))
+    for _ in range(2):
+        orders.termination_guard(calc, 0)
+        assert not calc.refutable
+    # a builtin rule's bit may have been computed before this test
+    assert len(calls) == len(set(calls)) and {"K_user", "K_user->"} <= set(calls)
