@@ -23,7 +23,10 @@ from .syntax import (
     And, Atom, Bot, FMultiset, Formula, Imp, Modal, Or, Sequent, print_sequent,
     sort_key, subformulas,
 )
-from .calculus import Calculus, build_g3ix, build_g4ix, builtin_modal_rules
+from .calculus import (
+    LEFT, Calculus, CtxVar, FVar, Pattern, RuleSchema, SuccVar, build_g3ix, build_g4ix,
+    builtin_modal_rules, g4ip, instantiate_pattern, instantiate_premises,
+)
 from .orders import termination_guard
 from .prover import (
     SearchBudget, find_strict_sensible, is_irreducible, prove_g3, prove_g4,
@@ -290,11 +293,18 @@ def admissibility_suite(calculus: Calculus, cfg: FuzzConfig) -> Report:
 
 # --- invertibility ----------------------------------------------------------------
 
+# Implication Inversion: G, phi -> psi => D over G, psi => D
+_IMP_INV = RuleSchema("ImpInv", (Pattern((CtxVar("G"), FVar("psi")), SuccVar("D")),),
+                      Pattern((CtxVar("G"), Imp(FVar("phi"), FVar("psi"))), SuccVar("D")), LEFT)
+
+
 def invertibility_suite(modal, cfg: FuzzConfig) -> Report:
     """Invertibility of RAnd, LAnd, LOr, RImp and LpImp in G3iX, plus
-    Implication Inversion: sample provable sequents of each conclusion shape
-    and require every premise provable."""
+    Implication Inversion: sample provable instances of each schema's
+    conclusion and require every premise provable."""
     calculus = build_g3ix(modal)
+    rules = (*map(calculus.rule, ("RAnd", "LAnd", "LOr", "RImp")),
+             g4ip().rule("LpImp"), _IMP_INV)
     report = Report(f"invertibility {calculus.name}", 6 * cfg.count)
 
     def component(rng, gamma):
@@ -305,35 +315,21 @@ def invertibility_suite(modal, cfg: FuzzConfig) -> Report:
             return _pick(rng, sorted(subformulas(base), key=sort_key))
         return _rng_formula(cfg, rng)
 
-    def shapes(name, rng):
+    def instance(rule, rng):
+        # the suite's output is pinned, so the draws keep their order: G, phi
+        # and psi, then p if the rule has it, then D biased on the
+        # conclusion's antecedent
         gamma = FMultiset(_rng_formula(cfg, rng) for _ in range(rng.randint(0, 2)))
-        phi = component(rng, gamma)
-        psi = component(rng, gamma)
-        if name == "RAnd":
-            return Sequent(gamma, And(phi, psi)), [Sequent(gamma, phi), Sequent(gamma, psi)]
-        if name == "LAnd":
-            ante = gamma.add(And(phi, psi))
-            delta = _biased_succedent(cfg, rng, list(ante))
-            return Sequent(ante, delta), [Sequent(gamma.add(phi).add(psi), delta)]
-        if name == "LOr":
-            ante = gamma.add(Or(phi, psi))
-            delta = _biased_succedent(cfg, rng, list(ante))
-            return (Sequent(ante, delta),
-                    [Sequent(gamma.add(phi), delta), Sequent(gamma.add(psi), delta)])
-        if name == "RImp":
-            return Sequent(gamma, Imp(phi, psi)), [Sequent(gamma.add(phi), psi)]
-        if name == "LpImp":
-            p = _atom(rng.randrange(cfg.atoms))
-            ante = gamma.add(p).add(Imp(p, phi))
-            delta = _biased_succedent(cfg, rng, list(ante))
-            return Sequent(ante, delta), [Sequent(gamma.add(p).add(phi), delta)]
-        # Implication Inversion
-        ante = gamma.add(Imp(phi, psi))
-        delta = _biased_succedent(cfg, rng, list(ante))
-        return Sequent(ante, delta), [Sequent(gamma.add(psi), delta)]
+        inst = {"G": gamma, "phi": component(rng, gamma), "psi": component(rng, gamma)}
+        if "p" in rule.metavars:
+            inst["p"] = _atom(rng.randrange(cfg.atoms))
+        if "D" in rule.metavars:
+            ante = instantiate_pattern(Pattern(rule.conclusion.items), inst).antecedent
+            inst["D"] = _biased_succedent(cfg, rng, list(ante))
+        return instantiate_pattern(rule.conclusion, inst), instantiate_premises(rule, inst)
 
-    def inversion(name, i):
-        concl, premises = shapes(name, random.Random(f"{cfg.seed}:inv-{name}:{i}"))
+    def inversion(rule, i):
+        concl, premises = instance(rule, random.Random(f"{cfg.seed}:inv-{rule.name}:{i}"))
         if not prove_g3(calculus, concl, cfg.budget).is_provable:
             return None
         verdicts = [prove_g3(calculus, p, cfg.budget) for p in premises]
@@ -341,9 +337,9 @@ def invertibility_suite(modal, cfg: FuzzConfig) -> Report:
               if all(v.is_definite for v in verdicts) else None)
         return print_sequent(concl), "; ".join(print_sequent(p) for p in premises), ok
 
-    for name in ("RAnd", "LAnd", "LOr", "RImp", "LpImp", "ImpInv"):
-        for case in _accepted(cfg, lambda i: inversion(name, i)):
-            report.add(name, *case)
+    for rule in rules:
+        for case in _accepted(cfg, lambda i: inversion(rule, i)):
+            report.add(rule.name, *case)
     return report
 
 

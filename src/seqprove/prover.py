@@ -13,10 +13,10 @@ sequents to sensible, strict roots.
 ``prove_g4`` first tries to refute its goal at the root, once, without
 search (``refute``).  It reads each box as its body and looks for a classical
 valuation that makes the antecedent true and the succedent false: a
-one-world countermodel.  It does so only under the Dyckhoff weight and for a
-calculus whose rules all carry the Dyckhoff certificate and are G3ip or
-G4ip rules, ``R_K``, ``R_D``, ``R_T``, ``R_X`` or a rule generated from one of
-them (``Calculus.refutable``), so a refutation can hide neither a
+one-world countermodel.  It does so only for a calculus whose rules all
+carry the Dyckhoff certificate and are G3ip or G4ip rules, ``R_K``,
+``R_D``, ``R_T``, ``R_X`` or a rule generated from one of them
+(``Calculus.refutable``), so a refutation can hide neither a
 termination violation nor a derivation.  ``holds`` checks the valuation
 before the answer is Unprovable, which is the same ``ProofResult`` as the
 search's; sequents beyond ``refute.ATOM_LIMIT`` atoms are searched.
@@ -327,18 +327,17 @@ def _search(calculus: Calculus, goal: Sequent, match_mode: str,
     return UNPROVABLE
 
 
-def prove_g4(calculus: Calculus, s: Sequent, match_mode: str = GREEDY,
-             weight: WeightFunction = DYCKHOFF) -> ProofResult:
-    """Backward search in a terminating calculus: always definite.  Raises
-    TerminationViolation if an applied rule instance fails to decrease the
-    sequent order.  Under ``DYCKHOFF`` and a ``Calculus.refutable`` calculus,
-    a classical countermodel of ``s`` (``refute``) that ``holds`` confirms
-    answers Unprovable first, with no search."""
-    if weight is DYCKHOFF and calculus.refutable:
+def prove_g4(calculus: Calculus, s: Sequent, match_mode: str = GREEDY) -> ProofResult:
+    """Backward search in a terminating calculus under the Dyckhoff order:
+    always definite.  Raises TerminationViolation if an applied rule instance
+    fails to decrease the sequent order.  For a ``Calculus.refutable``
+    calculus, a classical countermodel of ``s`` (``refute``) that ``holds``
+    confirms answers Unprovable first, with no search."""
+    if calculus.refutable:
         model = refute(s)
         if model is not None and not holds(model, s):
             return UNPROVABLE
-    return _search(calculus, s, match_mode, weight=weight)
+    return _search(calculus, s, match_mode, weight=DYCKHOFF)
 
 
 def prove_g3(calculus: Calculus, s: Sequent, budget: SearchBudget = DEFAULT_BUDGET,
@@ -361,17 +360,17 @@ def find_strict_sensible(calculus: Calculus, s: Sequent,
 
 # --- predicates over derivations ----------------------------------------------
 
-def _principal_formulas(d: Derivation, calculus: Calculus):
-    """Instantiated antecedent templates of the root rule's conclusion."""
-    rule = calculus.rule(d.rule)
-    if rule is None or d.instantiation is None:
-        return []
-    return [instantiate_template(it, d.instantiation) for it in rule.templates]
-
-
 def is_sensible(d: Derivation, calculus: Calculus) -> bool:
-    """The root inference has no left principal formula p -> psi with p an atom."""
-    for f in _principal_formulas(d, calculus):
+    """The root inference has no left principal formula p -> psi with p an
+    atom.  A root without an instantiation is judged under the first that
+    ``check_derivation`` accepts; a root that instantiates no rule is not
+    sensible."""
+    inst = d.instantiation if d.instantiation is not None else _fitting(calculus, d)
+    rule = calculus.rule(d.rule)
+    if rule is None or inst is None:
+        return False
+    for it in rule.templates:
+        f = instantiate_template(it, inst)
         if isinstance(f, Imp) and isinstance(f.left, Atom):
             return False
     return True
@@ -379,11 +378,13 @@ def is_sensible(d: Derivation, calculus: Calculus) -> bool:
 
 def is_strict(d: Derivation, calculus: Calculus) -> bool:
     """When the root is a left-implication inference on box phi -> psi, its left
-    premise must be closed by an axiom or by a right modal rule."""
-    if d.rule != "LImp" or d.instantiation is None:
-        return True
-    principal_left = d.instantiation.get("phi")
-    if not isinstance(principal_left, Modal):
+    premise must be closed by an axiom or by a right modal rule.  A root is
+    judged as in ``is_sensible``; a root that instantiates no rule is not
+    strict."""
+    inst = d.instantiation if d.instantiation is not None else _fitting(calculus, d)
+    if inst is None:
+        return False
+    if d.rule != "LImp" or not isinstance(inst.get("phi"), Modal):
         return True
     left_rule = calculus.rule(d.children[0].rule)
     if left_rule is None:
@@ -425,9 +426,17 @@ def check_derivation(calculus: Calculus, d: Derivation) -> bool:
 
 def _is_rule_instance(calculus: Calculus, d: Derivation) -> bool:
     """``d``'s conclusion and its children's conclusions instantiate one rule."""
+    return _fitting(calculus, d) is not None
+
+
+def _fitting(calculus: Calculus, d: Derivation) -> dict | None:
+    """The first instantiation of ``d``'s rule under which ``d``'s conclusion
+    and its children's conclusions are the rule's: ``d``'s own if it fits,
+    else the first exhaustive match of the conclusion that fits; None if
+    none does."""
     rule = calculus.rule(d.rule)
     if rule is None or len(d.children) != len(rule.premises):
-        return False
+        return None
     sequents = (d.conclusion, *(c.conclusion for c in d.children))
     patterns = (rule.conclusion, *rule.premises)
 
@@ -445,9 +454,10 @@ def _is_rule_instance(calculus: Calculus, d: Derivation) -> bool:
             return False
 
     if d.instantiation is not None and fits(d.instantiation):
-        return True
-    return any(fits(inst) for forced in forced_bindings(rule, sequents[1:])
-               for inst in match_conclusion(rule, d.conclusion, EXHAUSTIVE, forced))
+        return d.instantiation
+    return next((inst for forced in forced_bindings(rule, sequents[1:])
+                 for inst in match_conclusion(rule, d.conclusion, EXHAUSTIVE, forced)
+                 if fits(inst)), None)
 
 
 # --- serialization ----------------------------------------------------------------

@@ -16,13 +16,14 @@ under valuation ``j``.  Above ``ATOM_LIMIT`` atoms the tables get too wide,
 and ``refute`` gives up.  ``holds`` evaluates one sequent under one
 valuation by a walk of its own, so that a refutation can be confirmed
 without trusting the tables.  A model is the set of the names of the atoms
-it makes true.  Both walk with explicit stacks, keep nothing after they
-return, and build no formula.
+it makes true.  ``refute`` fills the tables in order of degree, and
+``holds`` walks with an explicit stack; neither recurses, keeps anything
+after it returns, or builds a formula.
 """
 
 from __future__ import annotations
 
-from .syntax import And, Atom, Bot, Modal, Or, Sequent
+from .syntax import And, Atom, Bot, Imp, Modal, Or, Sequent, degree
 
 # The table of a 16-atom chain p0, p0 -> p1, ... => p15 took 0.19 ms to
 # build, and of a 21-atom chain 17 ms (CPython 3.11, 2-vCPU x86-64 host).
@@ -67,36 +68,19 @@ def refute(s: Sequent) -> frozenset | None:
             mask |= mask << width
             width <<= 1
         table[a] = mask
-    stack = roots[:]
-    while stack:
-        f = stack[-1]
-        if f in table:
-            stack.pop()
-            continue
+    # an operator adds to the degree, so a formula comes after its parts
+    for f in sorted(seen, key=degree):
         cls = type(f)
         if cls is Bot:
             table[f] = 0
         elif cls is Modal:
-            body = table.get(f.body)
-            if body is None:
-                stack.append(f.body)
-                continue
-            table[f] = body
-        else:
-            left, right = table.get(f.left), table.get(f.right)
-            if left is None or right is None:
-                if left is None:
-                    stack.append(f.left)
-                if right is None:
-                    stack.append(f.right)
-                continue
-            if cls is And:
-                table[f] = left & right
-            elif cls is Or:
-                table[f] = left | right
-            else:
-                table[f] = (full ^ left) | right
-        stack.pop()
+            table[f] = table[f.body]
+        elif cls is And:
+            table[f] = table[f.left] & table[f.right]
+        elif cls is Or:
+            table[f] = table[f.left] | table[f.right]
+        elif cls is Imp:
+            table[f] = (full ^ table[f.left]) | table[f.right]
     falsified = full
     for f in s.antecedent.distinct():
         falsified &= table[f]

@@ -9,11 +9,15 @@ freely between concurrent searches.
 Formulas are hash-consed: every constructor call goes through one intern
 table keyed by the class and the fields, so equal formulas are one object and
 formula equality is identity.  So a node hashes by identity and stores no
-hash of its own; it caches its :func:`sort_key` on first use.  Hashing and
-comparing cost O(1) at any depth.  The table lives for the whole process, as
-did the unbounded ``sort_key`` cache it replaces, and as does the weight cache
-of a ``WeightFunction``: those already kept every formula that was put in a
-multiset or weighed alive.
+hash of its own.  Hashing and comparing cost O(1) at any depth.  The table
+lives for the whole process.
+
+A node is interned after its children, so it fixes two more values from
+theirs when it is built: its :func:`sort_key` and its connective counts
+(falsums, atoms, ands, ors, implications, boxes).  The key, the
+:func:`degree` and a ``WeightFunction``'s weight are then read in O(1) at
+any depth.  A template, a node with a metavariable below it, has neither
+value.
 """
 
 from __future__ import annotations
@@ -38,20 +42,42 @@ _TABLE: dict = {}
 
 def _intern(key: tuple):
     """Build the node for ``key`` and enter it in the table, unless another
-    caller entered one first; either way return the table's node."""
+    caller entered one first; either way return the table's node.  The node's
+    sort key and counts come from its children's, which a template's
+    metavariable child lacks: a template gets neither."""
     cls = key[0]
     node = object.__new__(cls)
     for name, value in zip(cls._fields, key[1:]):
         object.__setattr__(node, name, value)
-    object.__setattr__(node, "_sort_key", None)
+    tag, own = _OWN[cls]
+    try:
+        if cls is Atom or cls is Bot:
+            sk, counts = (tag, *key[1:]), own
+        elif cls is Modal:
+            body = key[2]
+            sk = (tag, key[1], body._sort_key)
+            counts = tuple(a + b for a, b in zip(body._counts, own))
+        else:
+            left, right = key[1], key[2]
+            sk = (tag, left._sort_key, right._sort_key)
+            counts = tuple(a + b + c for a, b, c in zip(left._counts, right._counts, own))
+    except AttributeError:  # a template
+        return _TABLE.setdefault(key, node)
+    object.__setattr__(node, "_sort_key", sk)
+    object.__setattr__(node, "_counts", counts)
     return _TABLE.setdefault(key, node)
 
 
 class Formula:
     """Base of the formula nodes.  Build nodes only through the subclass
-    constructors, which return the interned node for their arguments."""
+    constructors, which return the interned node for their arguments.
 
-    __slots__ = ("_sort_key",)
+    ``_sort_key`` and ``_counts`` are set when the node is interned (see
+    :func:`_intern`): ``_counts`` holds the number of falsums, atoms, ands,
+    ors, implications and boxes in the formula, the order of their sort
+    keys' tags."""
+
+    __slots__ = ("_sort_key", "_counts")
     _fields: tuple = ()
 
     def __setattr__(self, name, value):
@@ -122,50 +148,39 @@ class Modal(Formula):
         return node if node is not None else _intern(key)
 
 
+# class -> (its sort key's tag t, the counts of the node alone: 1 at t)
+_OWN = {cls: (t, tuple(int(i == t) for i in range(6)))
+        for t, cls in enumerate((Bot, Atom, And, Or, Imp, Modal))}
+
+
 def neg(f: Formula) -> Formula:
     return Imp(f, Bot())
 
 
 def sort_key(f: Formula):
     """Total structural order on formulas; fixes all iteration orders."""
-    if not isinstance(f, Formula):
-        raise TypeError(f"not a formula: {f!r}")
-    key = f._sort_key
-    if key is not None:
-        return key
-    if isinstance(f, Bot):
-        key = (0,)
-    elif isinstance(f, Atom):
-        key = (1, f.name)
-    elif isinstance(f, And):
-        key = (2, sort_key(f.left), sort_key(f.right))
-    elif isinstance(f, Or):
-        key = (3, sort_key(f.left), sort_key(f.right))
-    elif isinstance(f, Imp):
-        key = (4, sort_key(f.left), sort_key(f.right))
-    else:
-        key = (5, f.index, sort_key(f.body))
-    object.__setattr__(f, "_sort_key", key)
-    return key
+    try:
+        return f._sort_key
+    except AttributeError:
+        raise TypeError(f"not a formula: {f!r}") from None
 
 
 def degree(f: Formula) -> int:
     """Degree of a formula: 0 for falsum, 1 for atoms, +1 per operator."""
-    if isinstance(f, Bot):
-        return 0
-    if isinstance(f, Atom):
-        return 1
-    if isinstance(f, Modal):
-        return degree(f.body) + 1
-    return degree(f.left) + degree(f.right) + 1
+    counts = f._counts
+    return sum(counts) - counts[0]
 
 
 def subformulas(f: Formula) -> set[Formula]:
-    out = {f}
-    if isinstance(f, (And, Or, Imp)):
-        out |= subformulas(f.left) | subformulas(f.right)
-    elif isinstance(f, Modal):
-        out |= subformulas(f.body)
+    out, todo = set(), [f]
+    while todo:
+        g = todo.pop()
+        if g not in out:
+            out.add(g)
+            if isinstance(g, _Binary):
+                todo += (g.left, g.right)
+            elif isinstance(g, Modal):
+                todo.append(g.body)
     return out
 
 
@@ -203,10 +218,7 @@ class FMultiset:
         items = self._items
         if items is None:
             counts = self._counts
-            # one distinct formula needs no sort, nor so its sort key, which
-            # recurses once per operator
-            order = sorted(counts, key=sort_key) if len(counts) > 1 else counts
-            items = tuple((f, counts[f]) for f in order)
+            items = tuple((f, counts[f]) for f in sorted(counts, key=sort_key))
             _SET_ITEMS(self, items)
         return items
 

@@ -211,10 +211,9 @@ def test_greedy_match_splits_a_repeated_context(capsys, tmp_path, calc, rule, se
 
 
 def test_prove_deep_nesting_is_an_input_error(capsys):
-    # the sequent parses, but the decrease check's weight
-    # (orders.WeightFunction.weight) recurses once per operator; past the
-    # recursion limit the answer is an input error, not a traceback with
-    # UNPROVABLE's exit code
+    # the sequent parses, but the search (prover._search) recurses once per
+    # node; past the recursion limit the answer is an input error, not a
+    # traceback with UNPROVABLE's exit code
     deep = run_process("prove", "--calculus", "G4ip", "--sequent", "~" * 30000 + "p => p")
     assert deep.returncode == 3
     assert b"Traceback" not in deep.stderr
@@ -222,6 +221,18 @@ def test_prove_deep_nesting_is_an_input_error(capsys):
     assert deep.stdout == b""
     code, out, _ = run(capsys, "prove", "--calculus", "G4ip", "--sequent", "~" * 2000 + "p => p")
     assert (code, out) == (1, "UNPROVABLE\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--sequent", "q & " + "~" * 25000 + "p => q"],
+    ["--sequent", "q, " + "~" * 25000 + "p => q", "--emit", "json"],
+])
+def test_a_deep_formula_in_a_short_proof_is_proved(capsys, argv):
+    # a step or two closes each: nothing that sorts, weighs or prints the deep
+    # formula recurses, whatever its depth
+    code, out, _ = run(capsys, "prove", "--calculus", "G4ip", *argv)
+    assert code == 0
+    assert out.startswith("PROVABLE" if len(argv) == 2 else "{")
 
 
 @pytest.mark.parametrize("argv, text", [

@@ -476,9 +476,9 @@ SEARCH_FINGERPRINT = "d9e556951b668e96044894859c7a60b4704e5382e62274b044d7c0b17c
 
 @functools.cache
 def _pinned_results() -> tuple:
-    """Every search over seeded harness streams: prove_g4 and prove_g3 with
-    R_K, R_D and R_T, tight budgets, a user rule that taints pruned branches,
-    and the strict search."""
+    """(calculus, result) of every search over seeded harness streams:
+    prove_g4 and prove_g3 with R_K, R_D and R_T, tight budgets, a user rule
+    that taints pruned branches, and the strict search."""
     from seqprove.dsl import parse_rules
     from seqprove.harness import FuzzConfig, _irreducible_candidate, gen_sequent
     out = []
@@ -489,15 +489,15 @@ def _pinned_results() -> tuple:
         c4, c3 = build_g4ix(modal), build_g3ix(modal)
         for i in range(60):
             s = gen_sequent(cfg, i)
-            out.append(prove_g4(c4, s))
-            out.append(prove_g3(c3, s))
-            out.append(prove_g3(c3, s, tight))
+            out.append((c4, prove_g4(c4, s)))
+            out.append((c3, prove_g3(c3, s)))
+            out.append((c3, prove_g3(c3, s, tight)))
     rules, errors = parse_rules(
         "rule Spin { premises: G, box phi => D ; conclusion: G, box phi => D }")
     assert not errors
     spin = build_g3ix([B["R_K"], *rules])
     for i in range(40):
-        out.append(prove_g3(spin, gen_sequent(cfg, i)))
+        out.append((spin, prove_g3(spin, gen_sequent(cfg, i))))
     budget = SearchBudget(max_depth=40, max_nodes=20_000)
     for names in (("R_K",), ("R_K", "R_T")):
         c3 = build_g3ix([B[n] for n in names])
@@ -505,20 +505,20 @@ def _pinned_results() -> tuple:
         for i in range(400):
             s = _irreducible_candidate(cfg, i)
             if is_irreducible(s):
-                out.append(find_strict_sensible(c3, s, budget))
+                out.append((c3, find_strict_sensible(c3, s, budget)))
                 found += 1
         assert found >= 100
     return tuple(out)
 
 
 def _pinned_derivations() -> list:
-    return [res.derivation for res in _pinned_results() if res.derivation is not None]
+    return [res.derivation for _, res in _pinned_results() if res.derivation is not None]
 
 
 def _search_fingerprint() -> str:
     """sha256 of the status, reason and derivation of every pinned search."""
     digest = hashlib.sha256()
-    for res in _pinned_results():
+    for _, res in _pinned_results():
         blob = derivation_to_json(res.derivation) if res.derivation is not None else ""
         digest.update(f"{res.status}|{res.reason}|{blob}\n".encode())
     return digest.hexdigest()
@@ -529,6 +529,33 @@ def test_search_picks_the_same_derivations():
     # reason, changes the hash; only an intended change of the search order
     # may update the constant
     assert _search_fingerprint() == SEARCH_FINGERPRINT
+
+
+def test_reloaded_nodes_are_judged_like_the_originals():
+    # a reloaded node carries no instantiation: the predicates judge it under
+    # the first one the checker accepts, not vacuously
+    judged = 0
+    for calc, res in _pinned_results():
+        if res.derivation is None:
+            continue
+        original = list(walk(res.derivation))
+        reloaded = list(walk(derivation_from_json(derivation_to_json(res.derivation))))
+        assert len(original) == len(reloaded)
+        for a, b in zip(original, reloaded):
+            assert b.instantiation is None
+            assert is_sensible(b, calc) == is_sensible(a, calc)
+            assert is_strict(b, calc) == is_strict(a, calc)
+            judged += not is_sensible(a, calc)
+    assert judged > 0
+
+
+def test_a_node_that_instantiates_no_rule_is_neither_sensible_nor_strict():
+    res = prove_g3(G3, seq("p, p -> q => q"))
+    d = res.derivation
+    assert d.rule == "LImp" and not is_sensible(d, G3)
+    assert not is_sensible(derivation_from_json(derivation_to_json(d)), G3)
+    wrong = Derivation(seq("p, p -> q => r"), "LImp", None, d.children)
+    assert not is_sensible(wrong, G3) and not is_strict(wrong, G3)
 
 
 def _walk_ref(d):

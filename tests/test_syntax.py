@@ -2,10 +2,12 @@ import copy
 import hashlib
 import pickle
 import random
+import sys
 
 import pytest
 
 from seqprove.calculus import BoxedCtx, CtxVar, FVar, Pattern, _box_multiset, instantiate_pattern
+from seqprove.orders import DYCKHOFF, WeightFunction
 from seqprove.syntax import (
     And, Atom, Bot, FMultiset, Imp, Modal, Or, ParseError, Sequent, degree,
     interpret, parse_formula, parse_sequent, print_formula, print_sequent,
@@ -311,6 +313,25 @@ def test_sort_key_total_order():
         assert (sort_key(f) == sort_key(fs[0])) == (f == fs[0])
 
 
+def test_deep_formulas_are_measured_without_recursion():
+    n = 100_000
+    negs, boxes = p, p
+    for _ in range(n):
+        negs, boxes = Imp(negs, Bot()), Modal(0, boxes)
+    other = WeightFunction("other", and_inc=3, or_inc=4, imp_inc=5, box_inc=6)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        assert sort_key(negs) == (4, sort_key(negs.left), (0,))
+        assert sort_key(boxes) == (5, 0, sort_key(boxes.body))
+        assert degree(negs) == n + 1 and degree(boxes) == n + 1
+        assert DYCKHOFF.weight(negs) == 2 * n + 1 and DYCKHOFF.weight(boxes) == n + 1
+        assert other.weight(negs) == 6 * n + 1 and other.weight(boxes) == 6 * n + 1
+        assert len(subformulas(negs)) == n + 2 and len(subformulas(boxes)) == n + 1
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 # --- hash-consing -------------------------------------------------------------
 
 def test_equal_formulas_are_one_object():
@@ -330,6 +351,10 @@ def test_templates_are_interned():
     assert And(phi, psi) is And(FVar("phi"), FVar("psi"))
     assert Imp(Modal(0, phi), psi) is Imp(Modal(0, FVar("phi")), FVar("psi"))
     assert And(phi, psi) is not And(psi, phi)
+    # a template has no sort key: only formulas are ordered
+    for t in (phi, And(phi, psi), Modal(0, Imp(p, phi))):
+        with pytest.raises(TypeError):
+            sort_key(t)
 
 
 def test_copy_and_pickle_return_the_canonical_node():
