@@ -19,6 +19,7 @@ the node's sequent ``offered``.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,6 +36,9 @@ OTHER_MODAL = "other-modal"
 
 GREEDY = "greedy"
 EXHAUSTIVE = "exhaustive"
+
+# the share a conclusion context takes in a greedy match (``_shares``)
+ALL, NONE, EVERY = "all", "none", "every"
 
 
 class InstantiationError(Exception):
@@ -138,9 +142,7 @@ class RuleSchema:
     provenance: str = "builtin"
     templates: tuple = _compiled()     # formula templates of the antecedent
     stages: tuple = _compiled()        # the templates compiled for matching
-    boxed: tuple = _compiled()         # BoxedCtx items of the antecedent
-    plains: tuple = _compiled()        # CtxVar items, the one taking the rest last
-    repeated: frozenset = _compiled()  # context names used more than once
+    contexts: tuple = _compiled()      # (context, greedy share) in match order: _shares
     metavars: dict = _compiled()       # schema_metavars(self)
     shapes: frozenset = _compiled()    # the classes a sequent must offer (offered)
     forced: tuple = _compiled()        # _forced(self)
@@ -148,21 +150,11 @@ class RuleSchema:
     def __post_init__(self):
         items, succ = self.conclusion.items, self.conclusion.succedent
         templates = tuple(it for it in items if is_template(it))
-        names = [it.name for it in items if not is_template(it)]
-        repeated = frozenset(n for n in names if names.count(n) > 1)
-        # the last plain context used once takes what the others leave, so
-        # it is matched after them
-        plains = [it for it in items if isinstance(it, CtxVar)]
-        once = [i for i, it in enumerate(plains) if it.name not in repeated]
-        if once:
-            plains.append(plains.pop(once[-1]))
         succ_cls = None if succ is None or isinstance(succ, SuccVar) else _class(succ)
         compiled = {
             "templates": templates,
             "stages": _stages(templates, succ),
-            "boxed": tuple(it for it in items if isinstance(it, BoxedCtx)),
-            "plains": tuple(plains),
-            "repeated": repeated,
+            "contexts": _shares(self.premises, [it for it in items if not is_template(it)]),
             "metavars": schema_metavars(self),
             "shapes": frozenset(filter(None, (*map(_class, templates),
                                              succ_cls and ("=>", succ_cls)))),
@@ -202,6 +194,49 @@ def _stages(templates: tuple, succ) -> tuple:
     return tuple(stages)
 
 
+def _shares(premises: tuple, contexts: list) -> tuple:
+    """The conclusion ``contexts`` as (context, share) pairs in match order,
+    with the shares that make greedy matching complete up to weakening: every
+    instance is dominated by a greedy one, whose premises have the same
+    succedents and antecedents that hold the instance's.
+
+    Context ``o`` covers ``cv`` if every premise keeps each form of a formula
+    that ``cv`` holds at least as often when ``o`` holds it.  The plain
+    context used once that covers the most others (the last on ties) takes
+    ALL the rest.  A boxed context used once takes ALL the boxes of its index
+    if it covers its rivals: the other plain contexts used once and boxed
+    ones of its index.  Another context used once takes NONE if a rival that
+    takes ALL covers it; any other context takes EVERY share, first."""
+    # per premise, how often it keeps each form of a formula F that ``cv``
+    # holds: (k, False) is box(k) F, with k None for F itself; for a boxed
+    # ``cv``, F is box(i) f and (k, True) is box(k) f
+    def keeps(cv):
+        boxed = type(cv) is BoxedCtx
+        return [Counter((None, False) if boxed and k == cv.index else (k, boxed)
+                        for k in (getattr(it, "index", None) for it in pat.items
+                                  if not is_template(it) and it.name == cv.name))
+                for pat in premises]
+
+    def covers(o, cv):
+        return all(ko[form] >= n for ko, kc in zip(keep[o], keep[cv]) for form, n in kc.items())
+
+    def rivals(cv):
+        return [o for o in keep if o != cv and (type(o) is CtxVar or
+                                                type(cv) is BoxedCtx and o.index == cv.index)]
+
+    names = [cv.name for cv in contexts]
+    keep = {cv: keeps(cv) for cv in contexts if names.count(cv.name) == 1}
+    plains = [cv for cv in keep if type(cv) is CtxVar]
+    rest = max(reversed(plains), key=lambda cv: sum(covers(cv, o) for o in plains), default=None)
+    takes_all = {cv for cv in keep if cv is rest or type(cv) is BoxedCtx
+                 and all(covers(cv, o) for o in rivals(cv))}
+    share = {cv: ALL if cv in takes_all else
+             NONE if any(o in takes_all and covers(o, cv) for o in rivals(cv)) else EVERY
+             for cv in keep}
+    pairs = [(cv, share.get(cv, EVERY)) for cv in contexts]
+    return tuple(sorted(pairs, key=lambda p: (p[1] != EVERY, type(p[0]) is CtxVar, p[0] is rest)))
+
+
 def _forced(rule: RuleSchema) -> tuple:
     """The metavariables that a premise pins, as (premise index, name, sort,
     ...): first the succedent pins, then the context pins.  Only a name that
@@ -226,7 +261,8 @@ def _forced(rule: RuleSchema) -> tuple:
             pins.append((i, pat.succedent.name, "formula"))
     pins = [pin for pin in pins if sorts.get(pin[1]) == pin[2]]
     bound = {name for _, name, sort in pins if sort == "formula"}
-    enumerated = {it.name for it in rule.boxed + rule.plains[:-1]}
+    enumerated = {cv.name for cv, share in rule.contexts
+                  if share != ALL or type(cv) is BoxedCtx}
     for i, pat in enumerate(rule.premises):
         names = {it.name for it in pat.items if not is_template(it)}
         name = names.pop() if len(names) == 1 else None
@@ -290,6 +326,16 @@ class Calculus:
         one that stays sound with each box read as its body (``_BODY_SOUND``).
         Built on first use and kept with the calculus."""
         return all(r in _BODY_SOUND and r.certified for r in self.rules)
+
+    @cached_property
+    def matching(self) -> str:
+        """The mode the search matches in: GREEDY if each rule's conclusion
+        has a plain context that takes the rest, which can absorb an added
+        formula, so that weakening is height-preserving admissible and greedy
+        matching complete (``_shares``); else EXHAUSTIVE."""
+        weakening = all(any(share == ALL and type(cv) is CtxVar for cv, share in r.contexts)
+                        for r in self.rules)
+        return GREEDY if weakening else EXHAUSTIVE
 
     @cached_property
     def plan(self) -> tuple:
@@ -684,22 +730,23 @@ def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY,
                      forced: dict | None = None) -> list[dict]:
     """All instantiations of the rule's conclusion that produce exactly ``s``.
 
-    Greedy mode binds each boxed context metavariable to the maximal multiset
-    of suitably boxed antecedent formulas and hands the remainder to the last
-    plain context metavariable, enumerating only the principal-formula choices;
-    a context name the conclusion uses more than once is enumerated over
-    sub-multisets at its first use, as in exhaustive mode, so that its other
-    uses can take their share.  Exhaustive mode enumerates every antecedent
-    partition.  The result list is deterministically ordered.
+    Greedy mode enumerates the principal-formula choices and gives each
+    context the share the rule compiled for it (``RuleSchema.contexts``):
+    all the formulas it can hold, none, or every sub-multiset.  Each instance
+    of the conclusion is then dominated by a greedy one, with the same
+    succedents and premise antecedents that hold the other's (``_shares``).
+    Exhaustive mode enumerates every antecedent partition: every context but
+    the plain one that takes the rest takes every share.  The result list is
+    deterministically ordered.
 
     Matching runs in stages over partial matches (binding, unmatched
     antecedent): the succedent, then the rule's compiled template stages
-    (``RuleSchema.stages``), then each boxed context and plain context of
-    the conclusion in turn.  A closed template stage looks its one formula
-    up in the unmatched antecedent; an open one hands ``match_template``
-    only the formulas of its template's class (and, for a binary template,
-    of its left side's class).  The order of the stages cannot show: they
-    produce the same instances in any order, and two or more are sorted.
+    (``RuleSchema.stages``), then each context of the conclusion in turn.
+    A closed template stage looks its one formula up in the unmatched
+    antecedent; an open one hands ``match_template`` only the formulas of
+    its template's class (and, for a binary template, of its left side's
+    class).  The order of the template stages cannot show: they produce the
+    same instances in any order, and two or more are sorted.
     For a schema without ``schema_problems`` the matcher is exact: every
     instantiation it returns re-instantiates to ``s``, and it produces each
     one once.
@@ -735,34 +782,26 @@ def match_conclusion(rule: RuleSchema, s: Sequent, mode: str = GREEDY,
             partial = [(inst, rest.remove(f)) for inst, rest in partial
                        if (f := lookup if isinstance(lookup, Formula) else inst[lookup]) in rest
                        and (cls is None or type(f) is cls)]
-    for cv in rule.boxed:
-        every = not greedy or cv.name in rule.repeated  # every sub-multiset
+    for cv, share in rule.contexts:
+        boxed = type(cv) is BoxedCtx
+        if not greedy and (share != ALL or boxed):
+            share = EVERY  # only the plain context that takes the rest stays
         step = []
         for inst, rest in partial:
-            if cv.name in inst:
-                need = _box_multiset(inst[cv.name], cv.index)
+            if cv.name in inst:  # forced, or bound at an earlier use
+                need = _box_multiset(inst[cv.name], cv.index) if boxed else inst[cv.name]
                 if need.issubset(rest):
                     step.append((inst, rest.diff(need)))
-                continue
-            boxes = _from_counts({f: n for f, n in rest.pairs()
-                                  if isinstance(f, Modal) and f.index == cv.index})
-            for sub in _submultisets(boxes) if every else (boxes,):
-                bodies = _from_counts({f.body: n for f, n in sub.pairs()})
-                step.append(({**inst, cv.name: bodies}, rest.diff(sub)))
-        partial = step
-    for i, cv in enumerate(rule.plains):
-        every = not greedy or cv.name in rule.repeated
-        step = []
-        for inst, rest in partial:
-            if cv.name in inst:
-                need = inst[cv.name]
-                if need.issubset(rest):
-                    step.append((inst, rest.diff(need)))
-            elif i == len(rule.plains) - 1:
+            elif share == NONE:
+                step.append(({**inst, cv.name: EMPTY}, rest))
+            elif not boxed and share == ALL:
                 step.append(({**inst, cv.name: rest}, EMPTY))
             else:
-                for sub in _submultisets(rest) if every else (EMPTY,):
-                    step.append(({**inst, cv.name: sub}, rest.diff(sub)))
+                pool = rest if not boxed else _from_counts(
+                    {f: n for f, n in rest.pairs() if type(f) is Modal and f.index == cv.index})
+                for sub in _submultisets(pool) if share == EVERY else (pool,):
+                    value = _from_counts({f.body: n for f, n in sub.pairs()}) if boxed else sub
+                    step.append(({**inst, cv.name: value}, rest.diff(sub)))
         partial = step
 
     needed = rule.metavars.keys()

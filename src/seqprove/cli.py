@@ -141,28 +141,21 @@ def _load_weights(spec: str) -> WeightFunction:
 
 def cmd_prove(args) -> int:
     calculus = _resolve_calculus(args.calculus)
-    engine = args.engine or ("g4" if calculus.style == "G4" else "g3")
-    if (engine == "g4") != (calculus.style == "G4"):
-        raise CliError(f"engine {engine} does not fit calculus {calculus.name}")
     if args.sequent:
         goal = parse_sequent(args.goal)
     else:
         goal = Sequent(FMultiset(), parse_formula(args.goal))
-    if engine == "g4":
+    if calculus.style == "G4":
         if not args.force:
-            counterexample, uncertified = termination_guard(calculus, args.seed)
+            refusal, uncertified = termination_guard(calculus, args.seed)
             for name in uncertified:
                 print(f"warning: termination of rule {name} could not be certified",
                       file=sys.stderr)
-            if counterexample is not None:
-                name, verdict = counterexample
-                raise CliError(
-                    f"the g4 engine requires a terminating calculus, but rule {name} "
-                    f"fails the Dyckhoff order: {verdict.text()} (use --force to override)")
-        result = prove_g4(calculus, goal, match_mode=args.match)
+            if refusal is not None:
+                raise CliError(f"{refusal} (use --force to override)")
+        result = prove_g4(calculus, goal)
     else:
-        budget = SearchBudget(max_depth=args.depth, max_nodes=args.nodes)
-        result = prove_g3(calculus, goal, budget, match_mode=args.match)
+        result = prove_g3(calculus, goal, SearchBudget(max_depth=args.depth, max_nodes=args.nodes))
     if args.emit == "verdict":
         print(result.text())
     elif args.emit == "text":
@@ -223,7 +216,7 @@ def cmd_equiv_test(args) -> int:
                      modal_rules=tuple(r.name for r in modal),
                      budget=SearchBudget(max_depth=args.depth, max_nodes=args.nodes))
     try:
-        report = equivalence_fuzz(cfg, modal=modal, match_mode=args.match)
+        report = equivalence_fuzz(cfg, modal=modal)
     except ValueError as e:
         raise CliError(str(e))
     for line in report.lines():
@@ -255,11 +248,9 @@ def _build_parser() -> _Parser:
     p.add_argument("goal", help="formula, or sequent text with --sequent")
     p.add_argument("--calculus", default="G4ip",
                    help="G3ip, G4ip, G3i+<rules>, or G4i+<rules>")
-    p.add_argument("--engine", choices=("g3", "g4"), default=None)
     p.add_argument("--sequent", action="store_true",
                    help="parse the goal as a sequent instead of a formula")
     p.add_argument("--emit", choices=("verdict", "text", "json"), default="verdict")
-    p.add_argument("--match", choices=("greedy", "exhaustive"), default="greedy")
     p.add_argument("--depth", type=_POSITIVE, default=120)
     p.add_argument("--nodes", type=_POSITIVE, default=400_000)
     p.add_argument("--seed", type=int, default=0)
@@ -289,7 +280,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--modal-depth", type=_NON_NEGATIVE, default=2)
     p.add_argument("--depth", type=_POSITIVE, default=80)
     p.add_argument("--nodes", type=_POSITIVE, default=200_000)
-    p.add_argument("--match", choices=("greedy", "exhaustive"), default="greedy")
     p.set_defaults(handler=cmd_equiv_test)
 
     p = sub.add_parser("rules-parse", help="validate and normalize a rule file")

@@ -22,10 +22,11 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 
-from .syntax import And, Bot, Grammar, Imp, Or, ParseError
+from .syntax import And, Bot, Grammar, Imp, Modal, Or, ParseError
 from .calculus import (
-    AXIOM, AVar, BoxedCtx, CtxVar, DslValidationError, FVar, OTHER_MODAL,
-    Pattern, RIGHT_MODAL, RuleSchema, SuccVar, schema_problems,
+    AXIOM, AVar, BoxedCtx, CtxVar, DslValidationError, FVar, LEFT, OTHER_MODAL,
+    Pattern, RIGHT, RIGHT_MODAL, RuleSchema, SuccVar, is_template, schema_problems,
+    template_has_connective,
 )
 
 _KEYWORDS = {"rule", "premises", "conclusion", "none", "box", "false"}
@@ -174,9 +175,25 @@ class _RuleParser:
             kind = AXIOM
         elif conclusion.is_right_modal():
             kind = RIGHT_MODAL
-        else:
+        elif any(map(_has_box, premises + [conclusion])):
             kind = OTHER_MODAL
+        elif any(template_has_connective(t) for t in filter(is_template, conclusion.items)):
+            kind = LEFT
+        else:
+            kind = RIGHT
         return RuleSchema(name, tuple(premises), conclusion, kind, provenance="user")
+
+
+def _has_box(pat: Pattern) -> bool:
+    """Whether pattern ``pat`` holds a boxed context or a boxed template."""
+    todo = [*pat.items, pat.succedent]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (BoxedCtx, Modal)):
+            return True
+        if isinstance(t, (And, Or, Imp)):
+            todo += (t.left, t.right)
+    return False
 
 
 def parse_rules(text: str):

@@ -271,15 +271,16 @@ def check_schema_termination(w: WeightFunction, rule: RuleSchema,
 def termination_guard(calculus: Calculus, seed: int):
     """The check run before the G4 engine searches a calculus: each rule
     against the Dyckhoff order under ``SamplingConfig(samples=200, seed=seed)``,
-    stopping at the first counterexample.  Returns that rule's name and verdict
-    (None if no rule fails) and the names of the rules checked whose
-    termination could not be certified."""
+    stopping at the first counterexample.  Returns the refusal that names the
+    failing rule and its counterexample (None if no rule fails) and the names
+    of the rules checked whose termination could not be certified."""
     cfg = SamplingConfig(samples=200, seed=seed)
     uncertified = []
     for rule in calculus.rules:
         verdict = check_schema_termination(DYCKHOFF, rule, cfg)
         if verdict.is_counterexample:
-            return (rule.name, verdict), uncertified
+            return (f"the g4 engine requires a terminating calculus, but rule {rule.name} "
+                    f"fails the Dyckhoff order: {verdict.text()}"), uncertified
         if verdict.status == "unknown":
             uncertified.append(rule.name)
     return None, uncertified

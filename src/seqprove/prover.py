@@ -62,7 +62,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .syntax import And, Atom, Bot, Imp, Modal, Or, Sequent, parse_sequent, print_sequent
 from .calculus import (
-    AXIOM, EXHAUSTIVE, GREEDY, Calculus, forced_bindings, instantiate_counts,
+    AXIOM, EXHAUSTIVE, Calculus, forced_bindings, instantiate_counts,
     instantiate_premises, instantiate_template, is_right_modal, match_conclusion, offered,
 )
 from .orders import DYCKHOFF, WeightFunction, sequent_less
@@ -206,7 +206,7 @@ def _check_decrease(weight: WeightFunction, rule, premises, s: Sequent):
                 f"before the conclusion ({print_sequent(s)})")
 
 
-def _search(calculus: Calculus, goal: Sequent, match_mode: str,
+def _search(calculus: Calculus, goal: Sequent,
             weight: WeightFunction | None = None, budget: SearchBudget | None = None,
             constrained: bool = False, memoize: bool = True) -> ProofResult:
     """The backward search behind every entry point.
@@ -227,6 +227,7 @@ def _search(calculus: Calculus, goal: Sequent, match_mode: str,
     free stack chunks under the matcher's calls more often.
     """
     axioms, safe, branching = calculus.plan
+    mode = calculus.matching
     max_depth, max_nodes = (budget.max_depth, budget.max_nodes) if budget else (_INF, _INF)
     memo: dict = {}  # (sequent, restriction) -> derivation, or None if it failed
     hist: dict = {}
@@ -245,7 +246,7 @@ def _search(calculus: Calculus, goal: Sequent, match_mode: str,
             return None, _INF, _DIRTY
         shapes = offered(s)
         for rule in axioms:
-            if rule.shapes <= shapes and (insts := match_conclusion(rule, s, match_mode)):
+            if rule.shapes <= shapes and (insts := match_conclusion(rule, s, mode)):
                 d = Derivation(s, rule.name, insts[0])
                 if memoize:
                     memo[key] = d
@@ -263,7 +264,7 @@ def _search(calculus: Calculus, goal: Sequent, match_mode: str,
             # invertible rules decrease the Dyckhoff order, so they cannot
             # loop: commit to the first applicable instance with no check
             for rule in safe:
-                if rule.shapes <= shapes and (insts := match_conclusion(rule, s, match_mode)):
+                if rule.shapes <= shapes and (insts := match_conclusion(rule, s, mode)):
                     pool, committed = (rule,), insts[:1]
                     break
             else:
@@ -281,7 +282,7 @@ def _search(calculus: Calculus, goal: Sequent, match_mode: str,
             if not rule.shapes <= shapes:
                 continue  # match_conclusion could only return []
             ub = user_on_branch or rule.provenance == "user"
-            for inst in committed or match_conclusion(rule, s, match_mode):
+            for inst in committed or match_conclusion(rule, s, mode):
                 restrict = _NO_RESTRICT  # of the first premise
                 if irreducible and rule.name == "LImp":
                     if isinstance(inst["phi"], Atom):
@@ -327,7 +328,7 @@ def _search(calculus: Calculus, goal: Sequent, match_mode: str,
     return UNPROVABLE
 
 
-def prove_g4(calculus: Calculus, s: Sequent, match_mode: str = GREEDY) -> ProofResult:
+def prove_g4(calculus: Calculus, s: Sequent) -> ProofResult:
     """Backward search in a terminating calculus under the Dyckhoff order:
     always definite.  Raises TerminationViolation if an applied rule instance
     fails to decrease the sequent order.  For a ``Calculus.refutable``
@@ -337,25 +338,23 @@ def prove_g4(calculus: Calculus, s: Sequent, match_mode: str = GREEDY) -> ProofR
         model = refute(s)
         if model is not None and not holds(model, s):
             return UNPROVABLE
-    return _search(calculus, s, match_mode, weight=DYCKHOFF)
+    return _search(calculus, s, weight=DYCKHOFF)
 
 
-def prove_g3(calculus: Calculus, s: Sequent, budget: SearchBudget = DEFAULT_BUDGET,
-             match_mode: str = GREEDY) -> ProofResult:
+def prove_g3(calculus: Calculus, s: Sequent, budget: SearchBudget = DEFAULT_BUDGET) -> ProofResult:
     """Loop-checked backward search in a G3-style calculus.  Unprovable means
     the loop-checked space was exhausted; Unknown carries the reason (budget
     exhausted, or a pruned branch that used a user-defined modal rule)."""
-    return _search(calculus, s, match_mode, budget=budget)
+    return _search(calculus, s, budget=budget)
 
 
 def find_strict_sensible(calculus: Calculus, s: Sequent,
-                         budget: SearchBudget = DEFAULT_BUDGET,
-                         match_mode: str = GREEDY) -> ProofResult:
+                         budget: SearchBudget = DEFAULT_BUDGET) -> ProofResult:
     """Like prove_g3, restricted to derivations in which every subderivation
     with an irreducible conclusion is sensible and strict at its root."""
     if not is_irreducible(s):
         raise ValueError(f"sequent is not irreducible: {print_sequent(s)}")
-    return _search(calculus, s, match_mode, budget=budget, constrained=True)
+    return _search(calculus, s, budget=budget, constrained=True)
 
 
 # --- predicates over derivations ----------------------------------------------

@@ -18,7 +18,7 @@ from seqprove.calculus import (
     SuccVar, transform_right_modal, NonflatWarning,
 )
 from seqprove import calculus
-from seqprove.dsl import parse_rules, template_text
+from seqprove.dsl import parse_rules, print_rule, template_text
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 B = builtin_modal_rules()
@@ -183,24 +183,71 @@ def test_match_conclusion_examples():
     assert insts[0]["p"] == p and insts[0]["phi"] == q and insts[0]["G"] == FMultiset()
 
 
-def test_match_greedy_subset_of_exhaustive():
-    rng = random.Random(17)
-    pool = [p, q, r, Modal(0, p), Modal(0, q), Imp(Modal(0, p), q), And(p, q),
-            Imp(p, q), Modal(0, And(p, q))]
-    rules = list(g4ip().rules) + [B["R_K"], B["R_D"], B["R_T"],
-                                  transform_right_modal(B["R_K"])]
+def _undominated(rule, s):
+    """The exhaustive instances of ``rule``'s conclusion ``s`` that no greedy
+    instance dominates: none gives the same premise succedents and premise
+    antecedents that hold the instance's.  Every greedy instance must also
+    be an exhaustive one."""
     def key(inst):
         return tuple(sorted((k, repr(v)) for k, v in inst.items()))
-    for _ in range(250):
-        s = parse_sequent("=>") if rng.random() < 0.05 else None
-        if s is None:
-            ante = FMultiset(rng.choice(pool) for _ in range(rng.randint(0, 3)))
-            succ = rng.choice(pool) if rng.random() < 0.85 else None
-            s = type(parse_sequent("=>"))(ante, succ)
-        rule = rng.choice(rules)
-        greedy = {key(i) for i in match_conclusion(rule, s, GREEDY)}
-        exhaustive = {key(i) for i in match_conclusion(rule, s, EXHAUSTIVE)}
-        assert greedy <= exhaustive
+
+    def premises(inst):
+        return [instantiate_pattern(pat, inst) for pat in rule.premises]
+
+    greedy = match_conclusion(rule, s, GREEDY)
+    exhaustive = match_conclusion(rule, s, EXHAUSTIVE)
+    assert {key(i) for i in greedy} <= {key(i) for i in exhaustive}, rule.name
+    tops = [premises(i) for i in greedy]
+    return [inst for inst in exhaustive
+            if not any(all(g.succedent == e.succedent and e.antecedent.issubset(g.antecedent)
+                           for g, e in zip(top, premises(inst))) for top in tops)]
+
+
+def test_match_greedy_subset_of_exhaustive():
+    # greedy matching loses no derivation: by height-preserving weakening, a
+    # greedy instance's premises are provable whenever an exhaustive
+    # instance's are that it dominates
+    rules, sequents = _matcher_stream()
+    assert len(rules) == 35
+    for rule in rules:
+        for s in sequents:
+            assert not _undominated(rule, s), (rule.name, print_sequent(s))
+    # random valid rules, over boxes of every index the rules use
+    from test_dsl import _random_rule
+    pool = [parse_formula(t) for t in (
+        "false", "p", "q", "p & q", "p -> q", "[]p", "[]q", "[][]p", "[1]p", "[1][]p",
+        "[2]p", "[2][1]q", "[](p -> q)", "[1](p | q)", "~p", "[]p -> q")]
+    rng = random.Random(5)
+    sequents = [Sequent(FMultiset(rng.choice(pool) for _ in range(rng.randint(0, 4))),
+                        rng.choice(pool) if rng.random() < 0.8 else None) for _ in range(60)]
+    valid = 0
+    for k in range(5_000):
+        rule = _random_rule(rng, k)
+        if calculus.schema_problems(rule):
+            continue
+        valid += 1
+        for s in sequents:
+            assert not _undominated(rule, s), (print_rule(rule), print_sequent(s))
+        if valid == 300:
+            break
+    assert valid == 300
+
+
+def test_rules_compile_the_share_each_context_takes():
+    G, P, S, H = CtxVar("G"), CtxVar("P"), BoxedCtx("S"), BoxedCtx("H")
+    all_, none, every = calculus.ALL, calculus.NONE, calculus.EVERY
+    assert B["R_K"].contexts == ((BoxedCtx("G"), all_), (P, all_))
+    # R_SL's premise keeps box G and G, but nothing of box S
+    assert B["R_SL"].contexts == ((S, none), (BoxedCtx("G"), all_), (P, all_))
+    rules = {ru.name: ru for ru in REPEATED_RULES}
+    assert rules["TP"].contexts == ((P, none), (G, all_))  # G, phi => D keeps G only
+    assert rules["KG"].contexts == ((BoxedCtx("G"), every), (G, every))  # G, box G
+    # neither G nor box H keeps every form of a box the other holds: box H
+    # takes every share, first
+    (split,), errors = parse_rules(
+        "rule Split { premises: G => phi ; box H => phi ; conclusion: G, box H => box phi }")
+    assert not errors
+    assert split.contexts == ((H, every), (G, all_))
 
 
 def test_forced_bindings_filter_the_exhaustive_match():
@@ -252,10 +299,11 @@ def test_rules_compile_the_bindings_their_premises_pin():
     assert rules["R_X"].forced == ((0, "phi", "formula"), (0, "G", "context", False, 0, (), None))
     assert rules["R_SL"].forced == ((0, "phi", "formula"),)  # P, box G, G, box phi => phi
     assert rules["Ax"].forced == ()
-    # a name the conclusion uses with another sort is not pinned
+    # a name the conclusion uses with another sort is not pinned; P, which
+    # the premise keeps, takes the rest, so nothing else is
     odd = RuleSchema("Odd", (Pattern((CtxVar("P"),), SuccVar("G")),),
                      Pattern((CtxVar("P"), CtxVar("G")), q), "left")
-    assert odd.forced == ((0, "P", "context", True, None, (), None),)
+    assert odd.forced == ()
 
 
 def test_every_fitting_instance_agrees_with_a_forced_binding():
@@ -454,9 +502,9 @@ def _matcher_stream():
 
 
 # sha256 of the format_instantiation lists of every (sequent, rule, mode) of
-# _matcher_stream, recorded with the matcher that tried every template
-# against every antecedent formula
-MATCHER_OUTPUT = "36de74368f826a2cc424b8ef8186c05110572b53129ff3878e2d437f0ad0fd3d"
+# _matcher_stream, recorded when each rule first compiled the share its
+# contexts take; before, only the greedy lists of R_SL, R_SL-> and TP differed
+MATCHER_OUTPUT = "e6264143c87a01723dd3d3d2ac67a03b6ad3e3209a20f9ed43170d0aa5fa4952"
 
 
 def test_matcher_output_is_pinned():

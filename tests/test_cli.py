@@ -9,8 +9,8 @@ import sys
 import pytest
 
 import seqprove
-from seqprove.calculus import build_g3ix, build_g4ix
-from seqprove.cli import main
+from seqprove.calculus import build_g3ix, build_g4ix, builtin_modal_rules
+from seqprove.cli import _resolve_calculus, main
 from seqprove.dsl import parse_rules
 from seqprove.prover import check_derivation, derivation_from_dict
 
@@ -28,15 +28,13 @@ def test_prove_tautology(capsys):
 
 
 def test_prove_modal_k(capsys):
-    code, out, _ = run(capsys, "prove", "--calculus", "G4i+R_K", "--engine", "g4",
-                       "([]p & []q) -> [](p & q)")
+    code, out, _ = run(capsys, "prove", "--calculus", "G4i+R_K", "([]p & []q) -> [](p & q)")
     assert code == 0
     assert "PROVABLE" in out
 
 
 def test_prove_peirce_unprovable_g3(capsys):
-    code, out, _ = run(capsys, "prove", "--calculus", "G3ip", "--engine", "g3",
-                       "((p -> q) -> p) -> p")
+    code, out, _ = run(capsys, "prove", "--calculus", "G3ip", "((p -> q) -> p) -> p")
     assert code == 1
     assert out.strip() == "UNPROVABLE"
 
@@ -52,9 +50,16 @@ def test_prove_parse_error(capsys):
     assert "parse error" in err
 
 
-def test_prove_engine_mismatch(capsys):
-    code, _, err = run(capsys, "prove", "--calculus", "G3ip", "--engine", "g4", "p")
-    assert code >= 3
+@pytest.mark.parametrize("argv", [
+    ["prove", "--calculus", "G3ip", "--engine", "g3", "p"],
+    ["prove", "--calculus", "G4ip", "--match", "exhaustive", "p"],
+    ["equiv-test", "--count", "1", "--match", "greedy"],
+], ids=["prove-engine", "prove-match", "equiv-test-match"])
+def test_search_strategy_options_are_unknown(capsys, argv):
+    # the calculus's style picks the engine, and search matches greedily
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "unrecognized arguments" in err
 
 
 def test_prove_emit_json(capsys):
@@ -199,15 +204,33 @@ def test_greedy_match_splits_a_repeated_context(capsys, tmp_path, calc, rule, se
     rules, errors = parse_rules(rule)
     assert not errors
     calculus = (build_g4ix if calc == "G4i" else build_g3ix)(rules)
-    for match in ("greedy", "exhaustive"):
-        code, out, _ = run(capsys, "prove", "--calculus", f"{calc}+{f}", "--sequent", sequent,
-                           "--match", match, "--emit", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["verdict"] == "provable"
-        d = derivation_from_dict(payload["derivation"])
-        assert d.rule == rules[0].name
-        assert check_derivation(calculus, d)
+    code, out, _ = run(capsys, "prove", "--calculus", f"{calc}+{f}", "--sequent", sequent,
+                       "--emit", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "provable"
+    d = derivation_from_dict(payload["derivation"])
+    assert d.rule == rules[0].name
+    assert check_derivation(calculus, d)
+
+
+@pytest.mark.parametrize("calc, sequent", [
+    ("G3i+R_SL", "[]p => []p"),
+    ("G3i+{W}", "p, q => []p"),
+    ("G4i+{W}", "p, q => []p"),
+], ids=["G3i-R_SL", "G3i-W", "G4i-W"])
+def test_greedy_match_gives_the_formulas_to_the_context_the_premises_keep(
+        capsys, tmp_path, calc, sequent):
+    # R_SL keeps box G and G but not box S, and W keeps G but not H: a match
+    # that gives the boxes to S, or p to H, leaves an unprovable premise
+    f = tmp_path / "w.rules"
+    f.write_text("rule W { premises: G => phi ; conclusion: G, H => box phi }\n")
+    calc = calc.format(W=f)
+    code, out, _ = run(capsys, "prove", "--calculus", calc, "--sequent", sequent,
+                       "--emit", "json")
+    assert code == 0
+    d = derivation_from_dict(json.loads(out)["derivation"])
+    assert check_derivation(_resolve_calculus(calc), d)
 
 
 def test_prove_deep_nesting_is_an_input_error(capsys):
@@ -265,9 +288,26 @@ def test_rules_parse_deep_nesting(capsys, tmp_path):
 
 
 def test_prove_refuses_nonterminating_g4(capsys):
-    code, _, err = run(capsys, "prove", "--calculus", "G4i+R_GL", "--engine", "g4", "p")
+    code, _, err = run(capsys, "prove", "--calculus", "G4i+R_GL", "p")
     assert code >= 3
     assert "terminating" in err
+
+
+def test_prove_force_skips_the_termination_guard(capsys):
+    code, out, err = run(capsys, "prove", "--calculus", "G4i+R_GL", "--sequent", "[]p => []p")
+    assert (code, out) == (3, "")
+    assert "requires a terminating calculus" in err and err.endswith(
+        " (use --force to override)\n")
+    # forced, the search meets the rule that does not decrease the order
+    code, out, err = run(capsys, "prove", "--calculus", "G4i+R_GL", "--sequent", "[]p => []p",
+                         "--force")
+    assert (code, out) == (3, "")
+    assert err.startswith("seqprove: termination violation: rule R_GL")
+    code, out, _ = run(capsys, "prove", "--calculus", "G4i+R_K4", "--sequent", "[]p => [][]p",
+                       "--force", "--emit", "json")
+    assert code == 0
+    d = derivation_from_dict(json.loads(out)["derivation"])
+    assert check_derivation(build_g4ix([builtin_modal_rules()["R_K4"]]), d)
 
 
 def test_transform_rk(capsys):
@@ -387,6 +427,18 @@ def test_rules_parse(capsys, tmp_path):
     assert "# R_K: right-modal, 1 premise(s)" in out
 
 
+def test_rules_parse_kinds_a_box_free_rule_by_its_principal_side(capsys, tmp_path):
+    f = tmp_path / "plain.rules"
+    f.write_text("rule ImpInv { premises: G, psi => D ; conclusion: G, phi -> psi => D }\n"
+                 "rule AndR { premises: G => phi ; G => psi ; conclusion: G => phi & psi }\n"
+                 "rule T_user { premises: G, phi => D ; conclusion: G, box phi => D }\n")
+    code, out, _ = run(capsys, "rules-parse", str(f))
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("#")] == [
+        "# ImpInv: left, 1 premise(s)", "# AndR: right, 2 premise(s)",
+        "# T_user: other-modal, 1 premise(s)"]
+
+
 def test_rules_parse_errors(capsys, tmp_path):
     f = tmp_path / "bad.rules"
     f.write_text("rule Bad { premises: G, psi => phi ; conclusion: G => phi }\n")
@@ -430,11 +482,9 @@ def test_usage_error_exit_code(capsys):
 def test_prove_with_user_rules_file(capsys, tmp_path):
     f = tmp_path / "k.rules"
     f.write_text("rule R_K { premises: G => phi ; conclusion: P, box G => box phi }\n")
-    code, out, _ = run(capsys, "prove", "--calculus", f"G4i+{f}", "--engine", "g4",
-                       "([]p & []q) -> [](p & q)")
+    code, out, _ = run(capsys, "prove", "--calculus", f"G4i+{f}", "([]p & []q) -> [](p & q)")
     assert code == 0 and "PROVABLE" in out
-    code, _, _ = run(capsys, "prove", "--calculus", f"G3i+{f}", "--engine", "g3",
-                     "[]p -> p")
+    code, _, _ = run(capsys, "prove", "--calculus", f"G3i+{f}", "[]p -> p")
     assert code == 1
 
 
@@ -445,13 +495,6 @@ def test_prove_refuses_a_second_rule_of_a_name(capsys, tmp_path):
     assert (code, out) == (3, "")
     assert err == ("seqprove: error: rule LAnd: the calculus already has a rule "
                    "of this name\n")
-
-
-def test_equiv_test_exhaustive_match(capsys):
-    code, out, _ = run(capsys, "equiv-test", "--modal", "R_K", "--count", "15",
-                       "--seed", "3", "--match", "exhaustive")
-    assert code == 0
-    assert json.loads(out.strip().splitlines()[-1])["disagree"] == 0
 
 
 @pytest.mark.parametrize("argv", [

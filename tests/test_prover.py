@@ -379,12 +379,22 @@ def test_cross_engine_agreement_small():
             assert r3.status == r4.status, str(s)
 
 
-def test_exhaustive_match_mode_agrees():
-    goals = ["=> p -> p", "[]p & []q => [](p & q)", "[]p => p",
-             "[](p -> q), []p => []q", "=> ~~(p | ~p)"]
-    for text in goals:
-        s = seq(text)
-        assert prove_g4(G4K, s).status == prove_g4(G4K, s, match_mode=EXHAUSTIVE).status
+def test_a_calculus_without_weakening_is_searched_exhaustively():
+    # M keeps no context, so weakening is not admissible, and W's premise
+    # q => [1](r -> r) is unprovable where => [1](r -> r) is provable: the
+    # greedy match that gives W's G the q would lose the derivation
+    from seqprove.dsl import parse_rules
+    rules, errors = parse_rules("rule W { premises: G => phi ; conclusion: G, H => box phi }\n"
+                                "rule M { premises: => phi ; conclusion: => box(1) phi }")
+    assert not errors
+    for build, prove in ((build_g3ix, prove_g3), (build_g4ix, prove_g4)):
+        assert build(rules[:1]).matching == calculus.GREEDY
+        calc = build(rules)
+        assert calc.matching == EXHAUSTIVE
+        res = prove(calc, seq("q => [][1](r -> r)"))
+        assert res.is_provable and check_derivation(calc, res.derivation)
+    assert all(c.matching == calculus.GREEDY for c in (
+        g3ip(), g4ip(), build_g3ix(list(B.values())), build_g4ix(list(B.values()))))
 
 
 def test_user_rule_prune_gives_incomplete_strategy():
@@ -408,8 +418,8 @@ def test_memoization_does_not_change_verdicts():
     budget = SearchBudget(max_depth=40, max_nodes=50_000)
     for i in range(80):
         s = gen_sequent(cfg, i)
-        with_memo = _search(G3K, s, "greedy", budget=budget, memoize=True)
-        without = _search(G3K, s, "greedy", budget=budget, memoize=False)
+        with_memo = _search(G3K, s, budget=budget, memoize=True)
+        without = _search(G3K, s, budget=budget, memoize=False)
         if with_memo.is_definite and without.is_definite:
             assert with_memo.status == without.status, str(s)
 

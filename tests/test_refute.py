@@ -9,7 +9,7 @@ import pytest
 from seqprove import prover, refute as refute_module
 from seqprove.syntax import And, Atom, Bot, Modal, Or, parse_sequent, subformulas
 from seqprove.calculus import (
-    GREEDY, build_g3ix, build_g4ix, builtin_modal_rules, g3ip, g4ip,
+    build_g3ix, build_g4ix, builtin_modal_rules, g3ip, g4ip,
 )
 from seqprove.dsl import parse_rules
 from seqprove.harness import FuzzConfig, gen_sequent
@@ -106,7 +106,7 @@ def test_refuted_sequents_are_unprovable_by_search():
         for s in sequents:
             if refute(s) is not None:
                 refuted += 1
-                assert _search(c4, s, GREEDY, weight=DYCKHOFF).is_unprovable
+                assert _search(c4, s, weight=DYCKHOFF).is_unprovable
                 assert prove_g4(c4, s) is prover.UNPROVABLE
     assert refuted > 500
 
