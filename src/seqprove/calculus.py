@@ -172,6 +172,12 @@ class RuleSchema:
         from .orders import DYCKHOFF, certified
         return certified(DYCKHOFF, self)
 
+    @cached_property
+    def body_sound(self) -> bool:
+        """Whether the rule is one of ``_BODY_SOUND``, which stay classically
+        sound with each box read as its body.  Kept with the rule."""
+        return self in _BODY_SOUND
+
 
 def _stages(templates: tuple, succ) -> tuple:
     """The match stages of antecedent ``templates`` under ``succ`` (see
@@ -323,9 +329,10 @@ class Calculus:
         """Whether ``prove_g4`` may answer Unprovable from a classical
         countermodel (``refute``): every rule is certified, so the search it
         replaces could not raise a termination violation, and every rule is
-        one that stays sound with each box read as its body (``_BODY_SOUND``).
-        Built on first use and kept with the calculus."""
-        return all(r in _BODY_SOUND and r.certified for r in self.rules)
+        one that stays sound with each box read as its body
+        (``RuleSchema.body_sound``).  Built on first use and kept with the
+        calculus."""
+        return all(r.body_sound and r.certified for r in self.rules)
 
     @cached_property
     def matching(self) -> str:

@@ -126,6 +126,9 @@ class TerminationVerdict:
         return "UNKNOWN"
 
 
+_TERMINATING = TerminationVerdict("terminating")  # shared: a verdict is frozen
+
+
 def _items(pattern: Pattern) -> list:
     """The items of a pattern and its succedent, a succedent metavariable
     counting as a plain context of the same name."""
@@ -255,9 +258,9 @@ def check_schema_termination(w: WeightFunction, rule: RuleSchema,
     all instantiations (under ``DYCKHOFF``, the rule's kept bit); otherwise
     hunt for a concrete counterexample with seeded random instantiations, and
     report Unknown when none shows up."""
-    cfg = cfg or SamplingConfig()
     if rule.certified if w is DYCKHOFF else certified(w, rule):
-        return TerminationVerdict("terminating")
+        return _TERMINATING
+    cfg = cfg or SamplingConfig()
     rng = random.Random(f"{cfg.seed}:termination:{rule.name}")
     for _ in range(cfg.samples):
         inst = _sample_instantiation(rule.metavars, rng, cfg)
@@ -274,9 +277,11 @@ def termination_guard(calculus: Calculus, seed: int):
     stopping at the first counterexample.  Returns the refusal that names the
     failing rule and its counterexample (None if no rule fails) and the names
     of the rules checked whose termination could not be certified."""
-    cfg = SamplingConfig(samples=200, seed=seed)
+    cfg = None  # built for the first rule that is sampled
     uncertified = []
     for rule in calculus.rules:
+        if cfg is None and not rule.certified:
+            cfg = SamplingConfig(samples=200, seed=seed)
         verdict = check_schema_termination(DYCKHOFF, rule, cfg)
         if verdict.is_counterexample:
             return (f"the g4 engine requires a terminating calculus, but rule {rule.name} "

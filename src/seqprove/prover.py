@@ -10,8 +10,8 @@ succedent must not repeat along a branch) and can answer Unknown.
 ``find_strict_sensible`` is the loop-checked search restricted at irreducible
 sequents to sensible, strict roots.
 
-``prove_g4`` first tries to refute its goal at the root, once, without
-search (``refute``).  It reads each box as its body and looks for a classical
+``prove_g4`` first tries to refute its goal at the root, without search
+(``refuter``).  It reads each box as its body and looks for a classical
 valuation that makes the antecedent true and the succedent false: a
 one-world countermodel.  It does so only for a calculus whose rules all
 carry the Dyckhoff certificate and are G3ip or G4ip rules, ``R_K``,
@@ -19,7 +19,11 @@ carry the Dyckhoff certificate and are G3ip or G4ip rules, ``R_K``,
 (``Calculus.refutable``), so a refutation can hide neither a
 termination violation nor a derivation.  ``holds`` checks the valuation
 before the answer is Unprovable, which is the same ``ProofResult`` as the
-search's; sequents beyond ``refute.ATOM_LIMIT`` atoms are searched.
+search's.  The search then keeps the root's truth tables and refutes each
+branching node below the root the same way: a refuted node is unprovable,
+so it fails like any other and is memoized, and since a result depends
+only on the sequent, no verdict or derivation changes.  Sequents beyond
+``refute.ATOM_LIMIT`` atoms get no refuter and are searched.
 
 The strategy is the same for all: close by axioms, then commit to the first
 applicable invertible rule, then branch over the remaining rule instances in
@@ -66,7 +70,7 @@ from .calculus import (
     instantiate_premises, instantiate_template, is_right_modal, match_conclusion, offered,
 )
 from .orders import DYCKHOFF, WeightFunction, sequent_less
-from .refute import holds, refute
+from .refute import holds, refuter
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
@@ -208,7 +212,8 @@ def _check_decrease(weight: WeightFunction, rule, premises, s: Sequent):
 
 def _search(calculus: Calculus, goal: Sequent,
             weight: WeightFunction | None = None, budget: SearchBudget | None = None,
-            constrained: bool = False, memoize: bool = True) -> ProofResult:
+            constrained: bool = False, memoize: bool = True,
+            falsify=None) -> ProofResult:
     """The backward search behind every entry point.
 
     With a ``weight`` every applied instance must decrease the sequent order
@@ -216,6 +221,8 @@ def _search(calculus: Calculus, goal: Sequent,
     budget, always definite.  Without one, a per-branch loop check and
     ``budget`` bound it.  ``constrained`` restricts irreducible nodes to
     sensible roots, with a strict left premise under a boxed implication.
+    ``falsify``, a ``refuter`` of ``goal``, fails every branching node below
+    the root that it refutes and ``holds`` confirms (``_refuted``).
 
     ``search`` returns (derivation or None, hit, flags): ``hit`` is the
     shallowest depth whose loop-check key pruned the failed exploration, and
@@ -268,7 +275,8 @@ def _search(calculus: Calculus, goal: Sequent,
                     pool, committed = (rule,), insts[:1]
                     break
             else:
-                pool = branching
+                # a refuted node below the root is unprovable: nothing to try
+                pool = () if falsify and depth and _refuted(falsify, s) else branching
         # loop check at branching nodes only: the support projection hides
         # multiplicity progress made by the invertible rules
         lkey = None
@@ -328,17 +336,24 @@ def _search(calculus: Calculus, goal: Sequent,
     return UNPROVABLE
 
 
+def _refuted(falsify, s: Sequent) -> bool:
+    """Whether ``falsify`` finds a classical countermodel of ``s`` that
+    ``holds`` confirms."""
+    model = falsify(s)
+    return model is not None and not holds(model, s)
+
+
 def prove_g4(calculus: Calculus, s: Sequent) -> ProofResult:
     """Backward search in a terminating calculus under the Dyckhoff order:
     always definite.  Raises TerminationViolation if an applied rule instance
     fails to decrease the sequent order.  For a ``Calculus.refutable``
-    calculus, a classical countermodel of ``s`` (``refute``) that ``holds``
-    confirms answers Unprovable first, with no search."""
-    if calculus.refutable:
-        model = refute(s)
-        if model is not None and not holds(model, s):
-            return UNPROVABLE
-    return _search(calculus, s, weight=DYCKHOFF)
+    calculus, a classical countermodel of ``s`` (``refuter``) that ``holds``
+    confirms answers Unprovable first, with no search; the same refuter then
+    fails each refuted branching node of the search."""
+    falsify = refuter(s) if calculus.refutable else None
+    if falsify is not None and _refuted(falsify, s):
+        return UNPROVABLE
+    return _search(calculus, s, weight=DYCKHOFF, falsify=falsify)
 
 
 def prove_g3(calculus: Calculus, s: Sequent, budget: SearchBudget = DEFAULT_BUDGET) -> ProofResult:

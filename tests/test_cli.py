@@ -233,11 +233,18 @@ def test_greedy_match_gives_the_formulas_to_the_context_the_premises_keep(
     assert check_derivation(_resolve_calculus(calc), d)
 
 
-def test_prove_deep_nesting_is_an_input_error(capsys):
+def test_prove_deep_nesting_is_an_input_error(capsys, tmp_path):
     # the sequent parses, but the search (prover._search) recurses once per
     # node; past the recursion limit the answer is an input error, not a
-    # traceback with UNPROVABLE's exit code
-    deep = run_process("prove", "--calculus", "G4ip", "--sequent", "~" * 30000 + "p => p")
+    # traceback with UNPROVABLE's exit code.  In G4ip the refuter fails the
+    # first branching node below the root, two steps down; a user rule keeps
+    # the refuter off, so the search goes deep.
+    text = "~" * 30000 + "p => p"
+    code, out, _ = run(capsys, "prove", "--calculus", "G4ip", "--sequent", text)
+    assert (code, out) == (1, "UNPROVABLE\n")
+    f = tmp_path / "k.rules"
+    f.write_text("rule K_user { premises: G => phi ; conclusion: P, box G => box phi }\n")
+    deep = run_process("prove", "--calculus", f"G4i+{f}", "--sequent", text)
     assert deep.returncode == 3
     assert b"Traceback" not in deep.stderr
     assert deep.stderr.decode().splitlines() == ["seqprove: error: input nested too deeply"]
@@ -601,11 +608,15 @@ def test_every_cli_input_keeps_the_exit_code_contract(capsys, tmp_path):
             argv = _with(argv, option, rng.choice(("-1", "0", "1")))
         slot = rng.choice([o for c, o in _STRING_SLOTS if c == command])
         cases.append(_with(argv, slot, rng.choice(bad + [str(good)])))
-    # nested past the recursion limit: one deep formula, and two distinct ones
+    # nested past the recursion limit: one deep formula where the refuter is
+    # off, and two distinct ones, whose deep sort keys the matcher compares
     deep = "~" * 30000
-    too_deep = [["prove", "--calculus", "G4ip", "--sequent", text]
-                for text in (f"{deep}p => p", f"{deep}p, {deep}q => p")]
-    for argv in cases + too_deep:
+    too_deep = [["prove", "--calculus", calc, "--sequent", text]
+                for calc, text in ((f"G4i+{good}", f"{deep}p => p"),
+                                   ("G4ip", f"{deep}p, {deep}q => p"))]
+    # the same single formula in G4ip: refuted two steps below the root
+    refuted = ["prove", "--calculus", "G4ip", "--sequent", f"{deep}p => p"]
+    for argv in cases + too_deep + [refuted]:
         try:
             code, out, err = run(capsys, *argv)
         except BaseException as e:  # name the input that raised
@@ -614,5 +625,7 @@ def test_every_cli_input_keeps_the_exit_code_contract(capsys, tmp_path):
         assert "Traceback" not in err, argv
         if argv in too_deep:
             assert (code, err) == (3, "seqprove: error: input nested too deeply\n")
+        if argv == refuted:
+            assert (code, out, err) == (1, "UNPROVABLE\n", "")
         if code in (1, 2):  # a negative or indefinite verdict is printed
             assert out, argv

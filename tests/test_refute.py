@@ -2,7 +2,10 @@
 the gate that decides which calculi ``prove_g4`` refutes in."""
 
 import functools
+import importlib.util
 import itertools
+import time
+from pathlib import Path
 
 import pytest
 
@@ -145,8 +148,10 @@ def test_deep_formulas_do_not_recurse():
 
 
 def _calls(monkeypatch):
+    # the roots prove_g4 builds a refuter for
     calls = []
-    monkeypatch.setattr(prover, "refute", lambda s: calls.append(s) or refute_module.refute(s))
+    monkeypatch.setattr(prover, "refuter",
+                        lambda s: calls.append(s) or refute_module.refuter(s))
     return calls
 
 
@@ -200,3 +205,83 @@ def test_the_certificate_bit_is_computed_once_per_rule(monkeypatch):
         assert not calc.refutable
     # a builtin rule's bit may have been computed before this test
     assert len(calls) == len(set(calls)) and {"K_user", "K_user->"} <= set(calls)
+
+
+# --- the refuter inside the search -------------------------------------------
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
+inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(inputs)
+
+
+def _interior_refutations(monkeypatch, calc, sequents) -> set:
+    """The nodes below the roots of ``sequents`` that ``prove_g4`` fails by
+    refutation, through ``prover._refuted`` as it is when this is called."""
+    refuted, nodes = prover._refuted, set()
+
+    def recording(falsify, t):
+        hit = refuted(falsify, t)
+        if hit:
+            nodes.add(t)
+        return hit
+
+    with monkeypatch.context() as m:
+        m.setattr(prover, "_refuted", recording)
+        for s in sequents:
+            prove_g4(calc, s)
+    return nodes - set(sequents)
+
+
+def _wrongly_refuted(calc, nodes) -> list:
+    # searched without a refuter, a refuted node must be unprovable
+    return [t for t in nodes if not _search(calc, t, weight=DYCKHOFF).is_unprovable]
+
+
+def _g4ip_families() -> list:
+    return [parse_sequent(text) for _, calc, text, _ in inputs.families(1) if calc == "G4ip"]
+
+
+def test_interior_refutations_are_unprovable_by_search(monkeypatch):
+    for c4, _, sequents in _streams():
+        nodes = _interior_refutations(monkeypatch, c4, sequents)
+        assert nodes and not _wrongly_refuted(c4, nodes)
+    nodes = _interior_refutations(monkeypatch, g4ip(), _g4ip_families())
+    assert nodes and not _wrongly_refuted(g4ip(), nodes)
+
+
+def test_a_refuter_that_skips_holds_is_caught(monkeypatch):
+    # a lying refuter: every sequent but the root gets the empty model
+    monkeypatch.setattr(prover, "refuter", lambda root: lambda s: None if s is root else frozenset())
+    s = parse_sequent("p | q => q | p")
+    assert prove_g4(g4ip(), s).is_provable  # holds rejects every lie
+    # the mutant trusts the model; the soundness check above catches it
+    monkeypatch.setattr(prover, "_refuted", lambda falsify, t: falsify(t) is not None)
+    assert prove_g4(g4ip(), s).is_unprovable
+    assert _wrongly_refuted(g4ip(), _interior_refutations(monkeypatch, g4ip(), [s]))
+
+
+def _negated_link(m: int, fresh: bool):
+    """de Bruijn's provable formula for odd ``m`` with its last link under
+    ``~~``: classically valid, so no root refutation, but intuitionistically
+    unprovable; ``fresh`` adds ``~q`` for a fresh atom ``q``."""
+    a = inputs.Names(1)
+    c = inputs.conj([a(i) for i in range(1, m + 1)])
+    ante = [inputs.imp(inputs.iff(a(i), a(i + 1)), c) for i in range(1, m)]
+    ante.append(inputs.neg(inputs.imp(inputs.iff(a(m), a(1)), c), 2))
+    if fresh:
+        ante.append(inputs.neg(a(0)))
+    return parse_sequent(inputs.sequent(ante, c))
+
+
+@pytest.mark.parametrize("fresh", [False, True])
+def test_de_bruijn_negated_link_rows(fresh):
+    small, large = _negated_link(3, fresh), _negated_link(5, fresh)
+    assert refute(small) is None and refute(large) is None
+    assert prove_g4(g4ip(), small) is prover.UNPROVABLE
+    assert _search(g4ip(), small, weight=DYCKHOFF).is_unprovable
+    # without a refuter the search takes about 1 s at m = 5 and 45 s at
+    # m = 7 (CPython 3.11, 2-vCPU x86-64 host)
+    t0 = time.perf_counter()
+    assert prove_g4(g4ip(), large) is prover.UNPROVABLE
+    assert time.perf_counter() - t0 < 1.0
