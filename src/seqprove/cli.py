@@ -213,10 +213,9 @@ def cmd_equiv_test(args) -> int:
     modal = _load_modal_spec(args.modal)
     cfg = FuzzConfig(seed=args.seed, count=args.count, max_size=args.size,
                      atoms=args.atoms, max_modal_depth=args.modal_depth,
-                     modal_rules=tuple(r.name for r in modal),
                      budget=SearchBudget(max_depth=args.depth, max_nodes=args.nodes))
     try:
-        report = equivalence_fuzz(cfg, modal=modal)
+        report = equivalence_fuzz(modal, cfg)
     except ValueError as e:
         raise CliError(str(e))
     for line in report.lines():

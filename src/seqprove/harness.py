@@ -25,7 +25,7 @@ from .syntax import (
 )
 from .calculus import (
     LEFT, Calculus, CtxVar, FVar, Pattern, RuleSchema, SuccVar, build_g3ix, build_g4ix,
-    builtin_modal_rules, g4ip, instantiate_pattern, instantiate_premises,
+    g4ip, instantiate_pattern, instantiate_premises,
 )
 from .orders import termination_guard
 from .prover import (
@@ -47,7 +47,6 @@ class FuzzConfig:
     max_size: int = 8
     atoms: int = 3
     max_modal_depth: int = 2
-    modal_rules: tuple = ()
     budget: SearchBudget = SearchBudget(max_depth=80, max_nodes=200_000)
 
     def __post_init__(self):
@@ -180,31 +179,19 @@ def _accepted(cfg: FuzzConfig, make):
     return islice((case for case in cases if case is not None), cfg.count)
 
 
-def _resolve_modal(cfg: FuzzConfig, modal) -> list:
-    if modal is not None:
-        return list(modal)
-    builtin = builtin_modal_rules()
-    out = []
-    for name in cfg.modal_rules:
-        if name not in builtin:
-            raise ValueError(f"unknown builtin modal rule {name!r}")
-        out.append(builtin[name])
-    return out
-
-
 # --- equivalence fuzzing --------------------------------------------------------
 
-def equivalence_fuzz(cfg: FuzzConfig, modal=None) -> Report:
+def equivalence_fuzz(modal, cfg: FuzzConfig) -> Report:
     """Compare prove_g4 on G4iX with loop-checked prove_g3 on G3iX over
-    generated sequents.  G3 Unknowns count as indefinite, never as disagree."""
-    rules = _resolve_modal(cfg, modal)
+    generated sequents, X the rules ``modal``.  G3 Unknowns count as
+    indefinite, never as disagree."""
     safe_names = {"R_K", "R_D", "R_T"}
-    for r in rules:
+    for r in modal:
         if r.name not in safe_names:
             warnings.warn(f"modal rule {r.name}: the equivalence theorem's hypotheses "
                           f"are not verified for this rule", stacklevel=2)
-    c3 = build_g3ix(rules)
-    c4 = build_g4ix(rules)
+    c3 = build_g3ix(modal)
+    c4 = build_g4ix(modal)
     refusal, _ = termination_guard(c4, cfg.seed)
     if refusal is not None:
         raise ValueError(refusal)

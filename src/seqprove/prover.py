@@ -10,20 +10,19 @@ succedent must not repeat along a branch) and can answer Unknown.
 ``find_strict_sensible`` is the loop-checked search restricted at irreducible
 sequents to sensible, strict roots.
 
-``prove_g4`` first tries to refute its goal at the root, without search
-(``refuter``).  It reads each box as its body and looks for a classical
-valuation that makes the antecedent true and the succedent false: a
-one-world countermodel.  It does so only for a calculus whose rules all
-carry the Dyckhoff certificate and are G3ip or G4ip rules, ``R_K``,
-``R_D``, ``R_T``, ``R_X`` or a rule generated from one of them
-(``Calculus.refutable``), so a refutation can hide neither a
-termination violation nor a derivation.  ``holds`` checks the valuation
-before the answer is Unprovable, which is the same ``ProofResult`` as the
-search's.  The search then keeps the root's truth tables and refutes each
-branching node below the root the same way: a refuted node is unprovable,
-so it fails like any other and is memoized, and since a result depends
-only on the sequent, no verdict or derivation changes.  Sequents beyond
-``refute.ATOM_LIMIT`` atoms get no refuter and are searched.
+``prove_g4`` hands the search a refuter (``refute.refuter``) built from
+its goal's truth tables, and the search tries it on every node it enters,
+the root included, before any rule: a refuted node fails.  The refuter
+reads each box as its body and looks for a classical valuation that makes
+the antecedent true and the succedent false, a one-world countermodel,
+which ``holds`` checks before the node fails.  Such a node is unprovable,
+so it fails like any other and is memoized; a result depends only on the
+sequent, so no verdict or derivation changes, and only failed subtrees
+shrink.  ``prove_g4`` refutes only in a calculus whose rules all carry the
+Dyckhoff certificate and are G3ip or G4ip rules, ``R_K``, ``R_D``, ``R_T``,
+``R_X`` or a rule generated from one of them (``Calculus.refutable``), so a
+refutation can hide neither a termination violation nor a derivation.  A
+goal beyond ``refute.ATOM_LIMIT`` atoms gets no refuter and is searched.
 
 The strategy is the same for all: close by axioms, then commit to the first
 applicable invertible rule, then branch over the remaining rule instances in
@@ -141,15 +140,20 @@ def unknown(reason: str) -> ProofResult:
 
 
 def height(d: Derivation) -> int:
-    """Length of the longest branch; a single node counts as height 1."""
-    best = 0
-    stack = [(d, 1)]
+    """Length of the longest branch; a single node counts as height 1.  Each
+    distinct node object is measured once, so a shared subtree costs once."""
+    done: dict = {}  # id of a node -> its height
+    stack = [(d, False)]  # (node, its children are done)
     while stack:
-        node, h = stack.pop()
-        if h > best:
-            best = h
-        stack.extend((c, h + 1) for c in node.children)
-    return best
+        node, ready = stack.pop()
+        if id(node) in done:
+            continue
+        if not ready:
+            stack.append((node, True))
+            stack.extend((c, False) for c in node.children)
+            continue
+        done[id(node)] = 1 + max((done[id(c)] for c in node.children), default=0)
+    return done[id(d)]
 
 
 def leftmost_length(d: Derivation) -> int:
@@ -221,8 +225,8 @@ def _search(calculus: Calculus, goal: Sequent,
     budget, always definite.  Without one, a per-branch loop check and
     ``budget`` bound it.  ``constrained`` restricts irreducible nodes to
     sensible roots, with a strict left premise under a boxed implication.
-    ``falsify``, a ``refuter`` of ``goal``, fails every branching node below
-    the root that it refutes and ``holds`` confirms (``_refuted``).
+    ``falsify``, a ``refuter`` of ``goal``, fails every node, the root
+    included, that it refutes and ``holds`` confirms (``_refuted``).
 
     ``search`` returns (derivation or None, hit, flags): ``hit`` is the
     shallowest depth whose loop-check key pruned the failed exploration, and
@@ -251,6 +255,10 @@ def _search(calculus: Calculus, goal: Sequent,
             return d, _INF, 0
         if depth >= max_depth:
             return None, _INF, _DIRTY
+        if falsify and _refuted(falsify, s):
+            if memoize:
+                memo[key] = None
+            return None, _INF, 0
         shapes = offered(s)
         for rule in axioms:
             if rule.shapes <= shapes and (insts := match_conclusion(rule, s, mode)):
@@ -270,13 +278,11 @@ def _search(calculus: Calculus, goal: Sequent,
         else:
             # invertible rules decrease the Dyckhoff order, so they cannot
             # loop: commit to the first applicable instance with no check
+            pool = branching
             for rule in safe:
                 if rule.shapes <= shapes and (insts := match_conclusion(rule, s, mode)):
                     pool, committed = (rule,), insts[:1]
                     break
-            else:
-                # a refuted node below the root is unprovable: nothing to try
-                pool = () if falsify and depth and _refuted(falsify, s) else branching
         # loop check at branching nodes only: the support projection hides
         # multiplicity progress made by the invertible rules
         lkey = None
@@ -346,14 +352,9 @@ def _refuted(falsify, s: Sequent) -> bool:
 def prove_g4(calculus: Calculus, s: Sequent) -> ProofResult:
     """Backward search in a terminating calculus under the Dyckhoff order:
     always definite.  Raises TerminationViolation if an applied rule instance
-    fails to decrease the sequent order.  For a ``Calculus.refutable``
-    calculus, a classical countermodel of ``s`` (``refuter``) that ``holds``
-    confirms answers Unprovable first, with no search; the same refuter then
-    fails each refuted branching node of the search."""
-    falsify = refuter(s) if calculus.refutable else None
-    if falsify is not None and _refuted(falsify, s):
-        return UNPROVABLE
-    return _search(calculus, s, weight=DYCKHOFF, falsify=falsify)
+    fails to decrease the sequent order.  In a ``Calculus.refutable``
+    calculus every node that ``s``'s refuter refutes fails, ``s`` too."""
+    return _search(calculus, s, weight=DYCKHOFF, falsify=refuter(s) if calculus.refutable else None)
 
 
 def prove_g3(calculus: Calculus, s: Sequent, budget: SearchBudget = DEFAULT_BUDGET) -> ProofResult:
@@ -408,9 +409,19 @@ def is_strict(d: Derivation, calculus: Calculus) -> bool:
 
 def strict_sensible_throughout(d: Derivation, calculus: Calculus) -> bool:
     """Every subderivation with an irreducible conclusion is sensible and
-    strict at its root."""
-    return all(is_sensible(sub, calculus) and is_strict(sub, calculus)
-               for sub in walk(d) if is_irreducible(sub.conclusion))
+    strict at its root.  Each distinct node object is judged once."""
+    seen = set()  # ids of the nodes judged
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if is_irreducible(node.conclusion) and not (
+                is_sensible(node, calculus) and is_strict(node, calculus)):
+            return False
+        stack.extend(node.children)
+    return True
 
 
 # --- checking -------------------------------------------------------------------

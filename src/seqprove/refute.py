@@ -13,12 +13,12 @@ unprovable.  ``Calculus.refutable`` says which calculi this holds for.
 a(n-1)`` in name order, valuation ``j`` makes ``ai`` true iff bit ``i`` of
 ``j`` is set, and each distinct formula's table is one int whose bit ``j``
 is its value under valuation ``j``.  The tables come from one root's atoms
-and are kept, so a search can refute each node below that root: the rules
-refuted in make no atoms, and the new formulas they make get tables on
-demand.  Above ``ATOM_LIMIT`` atoms the tables get too wide, and there is
-no refuter.  ``holds`` evaluates one sequent under one valuation by a walk
-of its own, so that a refutation can be confirmed without trusting the
-tables.  A model is the set of the names of the atoms it makes true.  The
+and are kept, so a search can refute every node it enters, the root
+included: the rules refuted in make no atoms, and the new formulas they
+make get tables on demand.  Above ``ATOM_LIMIT`` atoms the tables get too
+wide, and there is no refuter.  ``holds`` evaluates one sequent under one
+valuation by a walk of its own, so that a refutation can be confirmed
+without trusting the tables.  A model is the set of the names of the atoms it makes true.  The
 tables are filled in order of degree, and ``holds`` walks with an explicit
 stack; neither recurses or builds a formula.
 """

@@ -196,7 +196,7 @@ class FMultiset:
     :meth:`distinct` instead, which never sort.
     """
 
-    __slots__ = ("_counts", "_items", "_size", "_hash")
+    __slots__ = ("_counts", "_items", "_hash")
 
     def __new__(cls, formulas=()):
         counts: dict = {}
@@ -243,10 +243,10 @@ class FMultiset:
                 yield f
 
     def __len__(self) -> int:
-        return self._size
+        return sum(self._counts.values())
 
     def __bool__(self) -> bool:
-        return self._size > 0
+        return bool(self._counts)
 
     def __contains__(self, f: Formula) -> bool:
         return f in self._counts
@@ -305,7 +305,7 @@ class FMultiset:
 
 
 # the slots' own setters, which FMultiset.__setattr__ does not reach
-_SET_COUNTS, _SET_ITEMS, _SET_SIZE, _SET_HASH = (
+_SET_COUNTS, _SET_ITEMS, _SET_HASH = (
     getattr(FMultiset, name).__set__ for name in FMultiset.__slots__)
 
 
@@ -315,7 +315,6 @@ def _from_counts(counts: dict) -> FMultiset:
     ms = object.__new__(FMultiset)
     _SET_COUNTS(ms, counts)
     _SET_ITEMS(ms, None)
-    _SET_SIZE(ms, sum(counts.values()))
     _SET_HASH(ms, None)
     return ms
 

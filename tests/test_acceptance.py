@@ -40,9 +40,8 @@ def equivalence_runs():
     reports = {}
     t0 = time.perf_counter()
     for label, names in RULE_SETS.items():
-        cfg = FuzzConfig(seed=42, count=500, max_size=12, atoms=3,
-                         max_modal_depth=2, modal_rules=names)
-        reports[label] = equivalence_fuzz(cfg)
+        cfg = FuzzConfig(seed=42, count=500, max_size=12, atoms=3, max_modal_depth=2)
+        reports[label] = equivalence_fuzz([B[n] for n in names], cfg)
     return reports, time.perf_counter() - t0
 
 

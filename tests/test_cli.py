@@ -237,7 +237,7 @@ def test_prove_deep_nesting_is_an_input_error(capsys, tmp_path):
     # the sequent parses, but the search (prover._search) recurses once per
     # node; past the recursion limit the answer is an input error, not a
     # traceback with UNPROVABLE's exit code.  In G4ip the refuter fails the
-    # first branching node below the root, two steps down; a user rule keeps
+    # first node that it refutes, one step below the root; a user rule keeps
     # the refuter off, so the search goes deep.
     text = "~" * 30000 + "p => p"
     code, out, _ = run(capsys, "prove", "--calculus", "G4ip", "--sequent", text)
@@ -614,7 +614,7 @@ def test_every_cli_input_keeps_the_exit_code_contract(capsys, tmp_path):
     too_deep = [["prove", "--calculus", calc, "--sequent", text]
                 for calc, text in ((f"G4i+{good}", f"{deep}p => p"),
                                    ("G4ip", f"{deep}p, {deep}q => p"))]
-    # the same single formula in G4ip: refuted two steps below the root
+    # the same single formula in G4ip: refuted one step below the root
     refuted = ["prove", "--calculus", "G4ip", "--sequent", f"{deep}p => p"]
     for argv in cases + too_deep + [refuted]:
         try:

@@ -46,16 +46,15 @@ def test_gen_sequent_deterministic():
 
 
 def test_equivalence_fuzz_empty():
-    rep = equivalence_fuzz(FuzzConfig(seed=1, count=0))
+    rep = equivalence_fuzz([], FuzzConfig(seed=1, count=0))
     assert rep.summary["count"] == 0
     assert rep.passed()
 
 
 def test_equivalence_fuzz_small_runs():
     for names in [(), ("R_K",)]:
-        cfg = FuzzConfig(seed=42, count=80, max_size=9, atoms=3, max_modal_depth=2,
-                         modal_rules=names)
-        rep = equivalence_fuzz(cfg)
+        cfg = FuzzConfig(seed=42, count=80, max_size=9, atoms=3, max_modal_depth=2)
+        rep = equivalence_fuzz([B[n] for n in names], cfg)
         s = rep.summary
         assert s["count"] == 80
         assert s["disagree"] == 0
@@ -64,15 +63,15 @@ def test_equivalence_fuzz_small_runs():
 
 
 def test_equivalence_fuzz_refuses_nonterminating():
-    cfg = FuzzConfig(seed=1, count=5, modal_rules=("R_GL",))
+    cfg = FuzzConfig(seed=1, count=5)
     with pytest.raises(ValueError), pytest.warns(UserWarning):
-        equivalence_fuzz(cfg)
+        equivalence_fuzz([B["R_GL"]], cfg)
 
 
 def test_equivalence_report_is_deterministic():
-    cfg = FuzzConfig(seed=11, count=40, max_size=8, modal_rules=("R_K",))
-    a = equivalence_fuzz(cfg)
-    b = equivalence_fuzz(cfg)
+    cfg = FuzzConfig(seed=11, count=40, max_size=8)
+    a = equivalence_fuzz([B["R_K"]], cfg)
+    b = equivalence_fuzz([B["R_K"]], cfg)
     assert a.lines() == b.lines()
     assert a.json_summary() == b.json_summary()
 
@@ -80,7 +79,7 @@ def test_equivalence_report_is_deterministic():
 def test_report_lines_replayable():
     from seqprove.syntax import parse_sequent
     cfg = FuzzConfig(seed=11, count=25, max_size=8)
-    rep = equivalence_fuzz(cfg)
+    rep = equivalence_fuzz([], cfg)
     for line in rep.lines():
         text = line.split("\t")[1]
         parse_sequent(text)  # every case carries a replayable input
@@ -117,9 +116,8 @@ def test_strict_sensible_small():
     assert rep.summary["shortfall"] == 0
 
 
-def _suite_runs(cfg):
-    rules = [B[name] for name in cfg.modal_rules]
-    return (("equivalence", lambda: equivalence_fuzz(cfg)),
+def _suite_runs(rules, cfg):
+    return (("equivalence", lambda: equivalence_fuzz(rules, cfg)),
             ("admissibility", lambda: admissibility_suite(build_g4ix(rules), cfg)),
             ("invertibility", lambda: invertibility_suite(rules, cfg)),
             ("strict-sensible", lambda: strict_sensible_suite(rules, cfg)))
@@ -155,8 +153,8 @@ def test_suites_are_pinned(monkeypatch):
     records = []
     for seed in (42, 7):
         for names in ((), ("R_K",), ("R_K", "R_T")):
-            cfg = FuzzConfig(seed=seed, count=10, modal_rules=names)
-            for suite, make in _suite_runs(cfg):
+            cfg = FuzzConfig(seed=seed, count=10)
+            for suite, make in _suite_runs([B[name] for name in names], cfg):
                 calls.setdefault(suite, {"prove_g4": 0, "prove_g3": 0})
                 rep = make()
                 records.append((rep.title, rep.target, rep.lines(), rep.json_summary()))

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from seqprove import calculus, prover
-from seqprove.syntax import And, Atom, FMultiset, Sequent, parse_sequent, print_sequent
+from seqprove.syntax import And, Atom, FMultiset, Imp, Sequent, parse_sequent, print_sequent
 from seqprove.calculus import (
     EXHAUSTIVE, build_g3ix, build_g4ix, builtin_modal_rules, g3ip, g4ip,
 )
@@ -349,6 +349,28 @@ def test_heights():
     assert height(chain) == 3 and leftmost_length(chain) == 3
     two = Derivation(seq("=> q"), "X", None, (leaf, chain))
     assert height(two) == 4 and leftmost_length(two) == 2
+
+
+@pytest.mark.parametrize("measure", [
+    lambda d: height(d) == 26, lambda d: strict_sensible_throughout(d, G3),
+], ids=["height", "strict_sensible_throughout"])
+def test_shared_nodes_are_visited_once(measure):
+    # A_0 = p -> p and A_(k+1) = A_k & A_k: the derivation of => A_24 that
+    # the search finds has 26 distinct nodes but 2^24 leaf occurrences, so
+    # visiting every occurrence would take about a minute; an alarm stops
+    # the walk after 1 s instead
+    a = Imp(p, p)
+    for _ in range(24):
+        a = And(a, a)
+    d = find_strict_sensible(G3, Sequent(FMultiset(), a)).derivation
+    old = signal.signal(signal.SIGALRM, _expire)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        assert measure(d)
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_derivation_json_round_trip():

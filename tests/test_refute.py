@@ -1,5 +1,6 @@
-"""The root refuter: classical one-world countermodels, their checker, and
-the gate that decides which calculi ``prove_g4`` refutes in."""
+"""The refuter: classical one-world countermodels, their checker, the gate
+that decides which calculi ``prove_g4`` refutes in, and the refutations that
+fail nodes of the search, the root or any other."""
 
 import functools
 import importlib.util
@@ -12,7 +13,7 @@ import pytest
 from seqprove import prover, refute as refute_module
 from seqprove.syntax import And, Atom, Bot, Modal, Or, parse_sequent, subformulas
 from seqprove.calculus import (
-    build_g3ix, build_g4ix, builtin_modal_rules, g3ip, g4ip,
+    build_g3ix, build_g4ix, builtin_modal_rules, g3ip, g4ip, match_conclusion, offered,
 )
 from seqprove.dsl import parse_rules
 from seqprove.harness import FuzzConfig, gen_sequent
@@ -143,7 +144,8 @@ def test_deep_formulas_do_not_recurse():
     assert refute(s) == frozenset()
     assert not holds(frozenset(), s)
     assert holds({"p"}, s)
-    # answered before the search, which would hit the recursion limit
+    # refuted at the root node, before a rule is tried: searching it would
+    # hit the recursion limit
     assert prove_g4(g4ip(), s) is prover.UNPROVABLE
 
 
@@ -215,9 +217,10 @@ inputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(inputs)
 
 
-def _interior_refutations(monkeypatch, calc, sequents) -> set:
-    """The nodes below the roots of ``sequents`` that ``prove_g4`` fails by
-    refutation, through ``prover._refuted`` as it is when this is called."""
+def _refuted_nodes(monkeypatch, calc, sequents) -> set:
+    """The nodes, roots included, that ``prove_g4`` fails by refutation when
+    it searches ``sequents``, through ``prover._refuted`` as it is when this
+    is called."""
     refuted, nodes = prover._refuted, set()
 
     def recording(falsify, t):
@@ -230,7 +233,7 @@ def _interior_refutations(monkeypatch, calc, sequents) -> set:
         m.setattr(prover, "_refuted", recording)
         for s in sequents:
             prove_g4(calc, s)
-    return nodes - set(sequents)
+    return nodes
 
 
 def _wrongly_refuted(calc, nodes) -> list:
@@ -242,12 +245,23 @@ def _g4ip_families() -> list:
     return [parse_sequent(text) for _, calc, text, _ in inputs.families(1) if calc == "G4ip"]
 
 
+def _invertible(calc, t) -> bool:
+    # an invertible rule applies at ``t``: the search would commit to it
+    _, safe, _ = calc.plan
+    return any(r.shapes <= offered(t) and match_conclusion(r, t, calc.matching) for r in safe)
+
+
 def test_interior_refutations_are_unprovable_by_search(monkeypatch):
-    for c4, _, sequents in _streams():
-        nodes = _interior_refutations(monkeypatch, c4, sequents)
-        assert nodes and not _wrongly_refuted(c4, nodes)
-    nodes = _interior_refutations(monkeypatch, g4ip(), _g4ip_families())
-    assert nodes and not _wrongly_refuted(g4ip(), nodes)
+    # every refuted node: roots, nodes where an invertible rule applies and
+    # branching nodes alike
+    runs = [(c4, sequents) for c4, _, sequents in _streams()]
+    runs.append((g4ip(), _g4ip_families()))
+    for calc, sequents in runs:
+        nodes = _refuted_nodes(monkeypatch, calc, sequents)
+        roots = nodes & set(sequents)
+        assert roots and nodes - roots
+        assert any(_invertible(calc, t) for t in nodes - roots)
+        assert not _wrongly_refuted(calc, nodes)
 
 
 def test_a_refuter_that_skips_holds_is_caught(monkeypatch):
@@ -258,7 +272,7 @@ def test_a_refuter_that_skips_holds_is_caught(monkeypatch):
     # the mutant trusts the model; the soundness check above catches it
     monkeypatch.setattr(prover, "_refuted", lambda falsify, t: falsify(t) is not None)
     assert prove_g4(g4ip(), s).is_unprovable
-    assert _wrongly_refuted(g4ip(), _interior_refutations(monkeypatch, g4ip(), [s]))
+    assert _wrongly_refuted(g4ip(), _refuted_nodes(monkeypatch, g4ip(), [s]))
 
 
 def _negated_link(m: int, fresh: bool):
