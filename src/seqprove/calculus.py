@@ -719,8 +719,8 @@ def _binding_key(value):
         return (0,)
     if isinstance(value, FMultiset):
         # the sort keys in canonical order: sorting the keys themselves skips
-        # building (and keeping) the canonical order of a multiset that is
-        # only compared here
+        # building the canonical order of a multiset that is only compared
+        # here
         keys = []
         for f, n in value.pairs():
             keys += [sort_key(f)] * n

@@ -13,7 +13,9 @@ metavariables and every other lowercase identifier is an atom metavariable.
 ``#`` starts a comment.  Rule names may carry a trailing ``->`` so that
 generated implication rules round-trip.  Templates are read and printed by
 the formula grammar of :mod:`seqprove.syntax`, spelled with ``box`` and
-``box(i)``.  A syntax error is a ``ParseError`` at an offset, which
+``box(i)``.  A block is read as a sequent is: each reader is a function of
+the token list and an index that returns what it read and the index after
+it.  A syntax error is a ``ParseError`` at an offset, which
 :func:`parse_rules` reports by line.
 """
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 
-from .syntax import And, Bot, Grammar, Imp, Modal, Or, ParseError
+from .syntax import And, Bot, Grammar, Imp, Modal, Or, ParseError, _expect
 from .calculus import (
     AXIOM, AVar, BoxedCtx, CtxVar, DslValidationError, FVar, LEFT, OTHER_MODAL,
     Pattern, RIGHT, RIGHT_MODAL, RuleSchema, SuccVar, is_template, schema_problems,
@@ -79,109 +81,75 @@ _TEMPLATE = Grammar(
 )
 
 
-class _RuleParser:
-    """Parses one block: the tokens from ``start`` up to the token ``end``
-    after it (the next block's ``rule`` keyword, or EOF), which it reads but
-    never consumes."""
-
-    def __init__(self, toks, start: int, end: int):
-        self.toks, self.pos, self.end = toks, start, end
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        if self.pos < self.end:
-            self.pos += 1
-        return t
-
-    def expect(self, kind, value=None):
-        t = self.next()
-        if t[0] != kind or (value is not None and t[1] != value):
-            want = value or kind
-            raise ParseError(f"expected {want}, found {t[1] or t[0]}", t[2])
-        return t
-
-    def at_keyword(self, word: str) -> bool:
-        t = self.peek()
-        return t[0] == "KW" and t[1] == word
-
-    def template(self):
-        # the grammar stops at the end token: it is neither operand nor operator
-        t, self.pos = _TEMPLATE.parse(self.toks, self.pos)
-        return t
-
-    # -- patterns -------------------------------------------------------
-
-    def ctx_item(self):
-        kind, value, _line = self.peek()
+def _ctx_item(toks, i):
+    """The antecedent item at token ``i``: a context metavariable, a boxed
+    one, or a template."""
+    kind, value, _ = toks[i]
+    if kind == "IDENT" and value[0].isupper():
+        return CtxVar(value), i + 1
+    if kind == "KW" and value == "box":
+        index, after = _box_index(toks, i + 1)
+        kind, value, _ = toks[after]
         if kind == "IDENT" and value[0].isupper():
-            self.next()
-            return CtxVar(value)
-        if kind == "KW" and value == "box":
-            idx, after = _box_index(self.toks, self.pos + 1)
-            k2, v2, _ = self.toks[after]
-            if k2 == "IDENT" and v2 and v2[0].isupper():
-                self.pos = after + 1
-                return BoxedCtx(v2, idx)
-            # a template that merely starts with box
-        return self.template()
+            return BoxedCtx(value, index), after + 1
+        # a template that merely starts with box
+    return _TEMPLATE.parse(toks, i)
 
-    def seqpat(self) -> Pattern:
-        items = []
-        if self.peek()[0] != "SEQARROW":
-            items.append(self.ctx_item())
-            while self.peek()[0] == "COMMA":
-                self.next()
-                items.append(self.ctx_item())
-        self.expect("SEQARROW")
-        kind, value, _line = self.peek()
-        if kind == "IDENT" and value == "_":
-            self.next()
-            succ = None
-        elif kind == "IDENT" and value[0].isupper():
-            self.next()
-            succ = SuccVar(value)
-        else:
-            succ = self.template()
-        return Pattern(tuple(items), succ)
 
-    def rule_block(self) -> RuleSchema:
-        self.expect("KW", "rule")
-        name = self.expect("IDENT")[1]
-        if self.peek()[0] == "ARROW":
-            self.next()
-            name += "->"
-        self.expect("LBRACE")
-        self.expect("KW", "premises")
-        self.expect("COLON")
-        premises = []
-        if self.at_keyword("none"):
-            self.next()
-            self.expect("SEMI")
-        else:
-            premises.append(self.seqpat())
-            while self.peek()[0] == "SEMI":
-                self.next()
-                if self.at_keyword("conclusion"):
-                    break
-                premises.append(self.seqpat())
-        self.expect("KW", "conclusion")
-        self.expect("COLON")
-        conclusion = self.seqpat()
-        self.expect("RBRACE")
-        if not premises:
-            kind = AXIOM
-        elif conclusion.is_right_modal():
-            kind = RIGHT_MODAL
-        elif any(map(_has_box, premises + [conclusion])):
-            kind = OTHER_MODAL
-        elif any(template_has_connective(t) for t in filter(is_template, conclusion.items)):
-            kind = LEFT
-        else:
-            kind = RIGHT
-        return RuleSchema(name, tuple(premises), conclusion, kind, provenance="user")
+def _pattern(toks, i):
+    """The sequent pattern at token ``i``."""
+    items = []
+    if toks[i][0] != "SEQARROW":
+        item, i = _ctx_item(toks, i)
+        items.append(item)
+        while toks[i][0] == "COMMA":
+            item, i = _ctx_item(toks, i + 1)
+            items.append(item)
+    i = _expect(toks, i, "SEQARROW")
+    kind, value, _ = toks[i]
+    if kind == "IDENT" and value == "_":
+        succ, i = None, i + 1
+    elif kind == "IDENT" and value[0].isupper():
+        succ, i = SuccVar(value), i + 1
+    else:
+        succ, i = _TEMPLATE.parse(toks, i)
+    return Pattern(tuple(items), succ), i
+
+
+def _rule_block(toks, i):
+    """The rule whose block starts at token ``i``."""
+    i = _expect(toks, i, "KW", "rule")
+    name, i = toks[i][1], _expect(toks, i, "IDENT")
+    if toks[i][0] == "ARROW":
+        name, i = name + "->", i + 1
+    i = _expect(toks, i, "LBRACE")
+    i = _expect(toks, _expect(toks, i, "KW", "premises"), "COLON")
+    premises = []
+    if toks[i][:2] == ("KW", "none"):
+        i = _expect(toks, i + 1, "SEMI")
+    else:
+        premise, i = _pattern(toks, i)
+        premises.append(premise)
+        while toks[i][0] == "SEMI":
+            i += 1
+            if toks[i][:2] == ("KW", "conclusion"):
+                break
+            premise, i = _pattern(toks, i)
+            premises.append(premise)
+    i = _expect(toks, _expect(toks, i, "KW", "conclusion"), "COLON")
+    conclusion, i = _pattern(toks, i)
+    i = _expect(toks, i, "RBRACE")
+    if not premises:
+        kind = AXIOM
+    elif conclusion.is_right_modal():
+        kind = RIGHT_MODAL
+    elif any(map(_has_box, premises + [conclusion])):
+        kind = OTHER_MODAL
+    elif any(template_has_connective(t) for t in filter(is_template, conclusion.items)):
+        kind = LEFT
+    else:
+        kind = RIGHT
+    return RuleSchema(name, tuple(premises), conclusion, kind, provenance="user"), i
 
 
 def _has_box(pat: Pattern) -> bool:
@@ -221,9 +189,8 @@ def parse_rules(text: str):
     if (starts[0] if starts else len(toks) - 1) > 0:  # tokens before the first block
         stray(toks[0])
     for start, end in zip(starts, ends):
-        parser = _RuleParser(toks, start, end)
         try:
-            rule = parser.rule_block()
+            rule, i = _rule_block(toks, start)
         except ParseError as e:
             errors.append(DslValidationError(line(e.position), None, e.message))
             continue
@@ -233,8 +200,8 @@ def parse_rules(text: str):
                 errors.append(DslValidationError(line(toks[start][2]), rule.name, msg))
         else:
             rules.append(rule)
-        if parser.pos < end:
-            stray(parser.peek())
+        if i < end:
+            stray(toks[i])
     return rules, errors
 
 

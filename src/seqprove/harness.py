@@ -149,17 +149,13 @@ def gen_sequent(cfg: FuzzConfig, index: int, tag: str = "sequent") -> Sequent:
     return Sequent(FMultiset(ante), succ)
 
 
-def _pick(rng: random.Random, options) -> Formula:
-    return options[rng.randrange(len(options))]
-
-
 def _biased_succedent(cfg: FuzzConfig, rng: random.Random, ante) -> Formula | None:
     """Succedent proposal biased toward subformulas of the antecedent, which
     raises the hit rate of rejection sampling for provable sequents."""
     r = rng.random()
     if ante and r < 0.5:
-        base = ante[rng.randrange(len(ante))]
-        return _pick(rng, sorted(subformulas(base), key=sort_key))
+        base = rng.choice(ante)
+        return rng.choice(sorted(subformulas(base), key=sort_key))
     if r < 0.9:
         return _rng_formula(cfg, rng)
     return None
@@ -253,12 +249,12 @@ def admissibility_suite(calculus: Calculus, cfg: FuzzConfig) -> Report:
         gamma1 = [_rng_formula(cfg, rng) for _ in range(rng.randint(0, 2))]
         r = rng.random()
         if gamma1 and r < 0.4:
-            cut_formula = _pick(rng, gamma1)
+            cut_formula = rng.choice(gamma1)
         elif gamma1 and r < 0.7:
             pool = set()
             for f in gamma1:
                 pool |= subformulas(f)
-            cut_formula = _pick(rng, sorted(pool, key=sort_key))
+            cut_formula = rng.choice(sorted(pool, key=sort_key))
         else:
             cut_formula = _rng_formula(cfg, rng, max_size=4)
         if not provable(Sequent(FMultiset(gamma1), cut_formula)):
@@ -295,8 +291,8 @@ def invertibility_suite(modal, cfg: FuzzConfig) -> Report:
         # biased toward context subformulas so the conclusion shape is
         # provable often enough for rejection sampling
         if gamma and rng.random() < 0.75:
-            base = _pick(rng, gamma.support())
-            return _pick(rng, sorted(subformulas(base), key=sort_key))
+            base = rng.choice(gamma.support())
+            return rng.choice(sorted(subformulas(base), key=sort_key))
         return _rng_formula(cfg, rng)
 
     def instance(rule, rng):
@@ -347,7 +343,7 @@ def _irreducible_candidate(cfg: FuzzConfig, index: int) -> Sequent:
         else:
             items.append(_atom(rng.randrange(cfg.atoms)))
     if items and rng.random() < 0.5:
-        succ = _pick(rng, items)
+        succ = rng.choice(items)
     else:
         succ = _biased_succedent(cfg, rng, items)
     return Sequent(FMultiset(items), succ)

@@ -68,9 +68,10 @@ def refuter(root: Sequent):
     def falsify(s: Sequent) -> frozenset | None:
         falsified = full
         for f in s.antecedent.distinct():
-            falsified &= table.get(f) or fill(f)
-        if s.succedent is not None:
-            falsified &= full ^ (table.get(s.succedent) or fill(s.succedent))
+            falsified &= table[f] if f in table else fill(f)
+        f = s.succedent
+        if f is not None:
+            falsified &= full ^ (table[f] if f in table else fill(f))
         if not falsified:
             return None
         j = (falsified & -falsified).bit_length() - 1

@@ -190,13 +190,14 @@ class FMultiset:
     A multiset keeps only its multiplicities; equality and hashing do not
     depend on any order.  Iteration, printing and all derived algorithms
     follow the structural order given by :func:`sort_key`, so every consumer
-    is deterministic.  That order, like the hash, is computed on first use and
-    kept: most multisets the search builds are only matched, never printed.
-    Code whose result cannot depend on order reads :meth:`pairs` or
+    is deterministic.  That order is computed at each use, since most
+    multisets the search builds are only matched, never printed, and few are
+    read in order twice; the hash is computed on first use and kept.  Code
+    whose result cannot depend on order reads :meth:`pairs` or
     :meth:`distinct` instead, which never sort.
     """
 
-    __slots__ = ("_counts", "_items", "_hash")
+    __slots__ = ("_counts", "_hash")
 
     def __new__(cls, formulas=()):
         counts: dict = {}
@@ -215,12 +216,8 @@ class FMultiset:
 
     def items(self):
         """Pairs (formula, multiplicity) in canonical order."""
-        items = self._items
-        if items is None:
-            counts = self._counts
-            items = tuple((f, counts[f]) for f in sorted(counts, key=sort_key))
-            _SET_ITEMS(self, items)
-        return items
+        counts = self._counts
+        return tuple((f, counts[f]) for f in sorted(counts, key=sort_key))
 
     def pairs(self):
         """Read-only view of the pairs (formula, multiplicity), in no fixed order."""
@@ -305,7 +302,7 @@ class FMultiset:
 
 
 # the slots' own setters, which FMultiset.__setattr__ does not reach
-_SET_COUNTS, _SET_ITEMS, _SET_HASH = (
+_SET_COUNTS, _SET_HASH = (
     getattr(FMultiset, name).__set__ for name in FMultiset.__slots__)
 
 
@@ -314,7 +311,6 @@ def _from_counts(counts: dict) -> FMultiset:
     ``counts`` itself, so the caller must not change the dict afterwards."""
     ms = object.__new__(FMultiset)
     _SET_COUNTS(ms, counts)
-    _SET_ITEMS(ms, None)
     _SET_HASH(ms, None)
     return ms
 
@@ -519,11 +515,12 @@ _FORMULA = Grammar(
 )
 
 
-def _expect(toks, i, kind) -> int:
-    """The index after token ``i``, which must be of ``kind``."""
+def _expect(toks, i, kind, value=None) -> int:
+    """The index after token ``i``, which must be of ``kind`` and, if
+    ``value`` is given, have that value."""
     t = toks[i]
-    if t[0] != kind:
-        raise ParseError(f"expected {kind}, found {t[1] or t[0]}", t[2])
+    if t[0] != kind or (value is not None and t[1] != value):
+        raise ParseError(f"expected {value or kind}, found {t[1] or t[0]}", t[2])
     return i + 1
 
 

@@ -209,6 +209,17 @@ def test_the_certificate_bit_is_computed_once_per_rule(monkeypatch):
     assert len(calls) == len(set(calls)) and {"K_user", "K_user->"} <= set(calls)
 
 
+def test_a_table_of_zero_is_not_filled_again(monkeypatch):
+    # false is false under every valuation: its table is 0, and kept
+    s = parse_sequent("p => false")
+    falsify = refute_module.refuter(s)
+    calls = []
+    untabled = refute_module._untabled
+    monkeypatch.setattr(refute_module, "_untabled",
+                        lambda table, formulas: calls.append(formulas) or untabled(table, formulas))
+    assert falsify(s) == frozenset({"p"}) and not calls
+
+
 # --- the refuter inside the search -------------------------------------------
 
 _spec = importlib.util.spec_from_file_location(
